@@ -393,31 +393,30 @@ impl SpreadingProcess for CobraProcess<'_> {
         // `visited` and the next frontier) is thread-invariant.
         let shards = engine.fan_out(&self.frontier, |_, chunk| {
             let mut proposals: Vec<VertexId> = Vec::with_capacity(chunk.len() * 2);
-            for &u in chunk {
-                if faults.is_crashed(u) {
-                    continue;
-                }
+            // Crashed and isolated senders draw nothing, so their streams are never opened.
+            let senders = chunk
+                .iter()
+                .filter(|&&u| !faults.is_crashed(u) && graph.degree(u) > 0)
+                .map(|&u| u as u64);
+            streams.for_each_stream(senders, round, |sender, rng| {
+                let u = sender as VertexId;
                 let neighbors = graph.neighbors(u);
-                if neighbors.is_empty() {
-                    continue;
-                }
-                let mut rng = streams.stream(u as u64, round);
                 let pushes = match budgets {
                     Some(budgets) => budgets[u],
-                    None => branching.sample_pushes(&mut rng),
+                    None => branching.sample_pushes(rng),
                 } * boost;
                 for _ in 0..pushes {
-                    if faults.drops_from(&mut rng, u) {
+                    if faults.drops_from(rng, u) {
                         continue;
                     }
-                    let target = *sample::sample_slice(neighbors, &mut rng)
+                    let target = *sample::sample_slice(neighbors, rng)
                         .expect("neighbour slice is non-empty");
-                    if faults.severs(u, target) || faults.drops_on_edge(&mut rng, u, target) {
+                    if faults.severs(u, target) || faults.drops_on_edge(rng, u, target) {
                         continue;
                     }
                     proposals.push(target);
                 }
-            }
+            });
             proposals
         });
         for target in shards.into_iter().flatten() {

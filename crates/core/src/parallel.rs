@@ -9,10 +9,15 @@
 //!
 //! Stream mode replaces it with **per-vertex determinism**: a trial owns one 32-byte key
 //! ([`VertexStreams`]), and every entity draws from the counter-based ChaCha8 stream keyed
-//! by `(key, entity, round)` ([`rand_chacha::ChaCha8Rng::stream_for`]). Draws no longer
+//! by `(key, entity, round)` ([`rand_chacha::ChaCha8Stream::stream_for`]). Draws no longer
 //! have a global order at all — only per-entity orders, which are fixed by construction —
 //! so frontier iteration can be sharded across threads and the trajectory is *bit-identical
 //! for every thread count*, `--threads 1` included.
+//!
+//! A shard may open its streams one at a time ([`VertexStreams::stream`]) or four per
+//! block-kernel call ([`VertexStreams::for_each_stream`]); the kernel changes how many
+//! blocks one call computes, not the word order or counter layout, so both give the same
+//! words.
 //!
 //! # Entity-id contract
 //!
@@ -41,7 +46,7 @@
 use cobra_graph::sample::VertexStreams;
 use cobra_graph::{Graph, VertexBitset, VertexId};
 use rand::RngCore;
-use rand_chacha::ChaCha8Rng;
+use rand_chacha::ChaCha8Stream;
 
 use crate::fault::StepFaults;
 use crate::process::SpreadingProcess;
@@ -107,7 +112,7 @@ impl ParallelFrontier {
     /// The independent ChaCha8 stream of `entity` at `round` — shorthand for
     /// `self.streams().stream(entity, round)`.
     #[inline]
-    pub fn stream(&self, entity: u64, round: u64) -> ChaCha8Rng {
+    pub fn stream(&self, entity: u64, round: u64) -> ChaCha8Stream {
         self.streams.stream(entity, round)
     }
 

@@ -167,10 +167,14 @@ fn read_line_limited(reader: &mut BufReader<TcpStream>) -> std::io::Result<LineR
     Ok(LineRead::Line(String::from_utf8_lossy(&buf).trim().to_string()))
 }
 
+/// Sends `event` and its newline in one write. Two small writes on a Nagle socket hold the
+/// second back until the client ACKs the first, which a client that delays its ACKs does
+/// only when its ACK timer fires (about 40 ms).
 fn write_line(writer: &mut TcpStream, event: &str) -> std::io::Result<()> {
-    writer.write_all(event.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()
+    let mut line = Vec::with_capacity(event.len() + 1);
+    line.extend_from_slice(event.as_bytes());
+    line.push(b'\n');
+    writer.write_all(&line)
 }
 
 fn handle_connection(

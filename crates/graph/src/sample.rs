@@ -9,7 +9,7 @@
 //! the identical reduction).
 
 use rand::RngCore;
-use rand_chacha::ChaCha8Rng;
+use rand_chacha::ChaCha8Stream;
 
 use crate::VertexId;
 
@@ -56,9 +56,14 @@ pub fn sample_slice<'a, R: RngCore + ?Sized>(
 ///
 /// A `VertexStreams` holds one 32-byte trial key; [`stream`](VertexStreams::stream) derives
 /// the independent ChaCha8 stream for any `(entity, round)` pair via
-/// [`ChaCha8Rng::stream_for`]. Because each stream is keyed by *who draws* (a vertex or
+/// [`ChaCha8Stream::stream_for`]. Because each stream is keyed by *who draws* (a vertex or
 /// walker id) and *when* (the round), not by the global order draws happen to execute in,
 /// trajectories are identical no matter how frontier iteration is scheduled across threads.
+///
+/// [`for_each_stream`](VertexStreams::for_each_stream) opens the streams of a whole frontier
+/// chunk four entities per block-kernel call. That changes how many blocks one call
+/// computes, not the words: each stream it hands out equals [`stream`](VertexStreams::stream)
+/// word for word.
 ///
 /// The entity space is `u64`; vertex ids embed directly, and engine wrappers reserve ids
 /// near `u64::MAX` (see `cobra_core::parallel`) for their own dynamics so they can never
@@ -94,33 +99,41 @@ impl VertexStreams {
 
     /// The independent stream owned by `entity` at `round`.
     #[inline]
-    pub fn stream(&self, entity: u64, round: u64) -> ChaCha8Rng {
-        ChaCha8Rng::stream_for(&self.key, entity, round)
+    pub fn stream(&self, entity: u64, round: u64) -> ChaCha8Stream {
+        ChaCha8Stream::stream_for(&self.key, entity, round)
     }
 
-    /// Batches `count` Lemire draws from `slice` on `entity`'s stream at `round`,
-    /// appending the sampled elements to `out`.
+    /// Calls `f(entity, stream)` for each of `entities` in order, with `stream` equal to
+    /// [`stream`](Self::stream)`(entity, round)`.
     ///
-    /// This is the per-frontier-chunk fast path: the stream is derived once, the neighbour
-    /// slice length is hoisted, and each draw is the same one-`next_u64` widening multiply
-    /// as [`uniform_index`] — so a `CountingRng` wrapped around the stream observes exactly
-    /// `count` words.
+    /// Streams are opened four entities per kernel call
+    /// ([`ChaCha8Stream::streams_for`]), and a tail of one to three entities takes the
+    /// single-stream path. Each stream is handed to `f` as soon as its group is opened, so
+    /// nothing is collected.
     #[inline]
-    pub fn sample_slice_into(
-        &self,
-        entity: u64,
-        round: u64,
-        slice: &[VertexId],
-        count: usize,
-        out: &mut Vec<VertexId>,
-    ) {
-        if slice.is_empty() || count == 0 {
-            return;
-        }
-        let mut rng = self.stream(entity, round);
-        out.reserve(count);
-        for _ in 0..count {
-            out.push(slice[uniform_index(&mut rng, slice.len())]);
+    pub fn for_each_stream<I, F>(&self, entities: I, round: u64, mut f: F)
+    where
+        I: IntoIterator<Item = u64>,
+        F: FnMut(u64, &mut ChaCha8Stream),
+    {
+        let mut entities = entities.into_iter();
+        loop {
+            let mut group = [0u64; 4];
+            let mut len = 0;
+            for (slot, entity) in group.iter_mut().zip(entities.by_ref()) {
+                *slot = entity;
+                len += 1;
+            }
+            if len < group.len() {
+                for &entity in &group[..len] {
+                    f(entity, &mut self.stream(entity, round));
+                }
+                return;
+            }
+            let mut opened = ChaCha8Stream::streams_for(&self.key, group, round);
+            for (&entity, stream) in group.iter().zip(&mut opened) {
+                f(entity, stream);
+            }
         }
     }
 }
@@ -231,21 +244,5 @@ mod tests {
         let s1 = VertexStreams::from_rng(&mut r1);
         let s2 = VertexStreams::from_rng(&mut r2);
         assert_eq!(s1.key(), s2.key());
-    }
-
-    #[test]
-    fn sample_slice_into_matches_single_draws() {
-        let streams = VertexStreams::new([5u8; 32]);
-        let slice: Vec<VertexId> = (100..140).collect();
-        let mut batched = Vec::new();
-        streams.sample_slice_into(9, 2, &slice, 6, &mut batched);
-        let mut rng = streams.stream(9, 2);
-        let singles: Vec<VertexId> =
-            (0..6).map(|_| *sample_slice(&slice, &mut rng).unwrap()).collect();
-        assert_eq!(batched, singles);
-        // Empty slice and zero count are no-ops.
-        streams.sample_slice_into(9, 2, &[], 6, &mut batched);
-        streams.sample_slice_into(9, 2, &slice, 0, &mut batched);
-        assert_eq!(batched.len(), 6);
     }
 }

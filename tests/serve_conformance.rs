@@ -9,7 +9,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use cobra::core::sim::{CoverageTrace, FirstVisitTimes, Observer, Runner};
 use cobra::core::CoreError;
@@ -404,6 +404,32 @@ fn oversized_requests_are_rejected_and_the_connection_closed() {
     assert_eq!(event_of(&reply), "error", "{reply}");
     assert_eq!(json_str(&reply, "code"), "oversized-request", "{reply}");
     assert_eq!(client.recv_opt(), None, "oversized request must close the connection");
+    handle.shutdown();
+}
+
+#[test]
+fn replies_reach_a_client_that_delays_its_acks_without_a_stall() {
+    // A plain socket (no TCP_QUICKACK) delays its ACKs. A reply line split over two writes
+    // would sit behind Nagle's algorithm until that delayed ACK fires (about 40 ms); one
+    // write per line is answered at once. Each request goes out in one write too.
+    let handle = server(1, 1 << 20, 64);
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect to served port");
+    stream.set_read_timeout(Some(Duration::from_secs(60))).expect("read timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    let request = format!("{}\n", submit_line(&params("cobra:k=2", "complete:n=16", 1, 1, 1000)));
+    let mut waits_ms: Vec<f64> = (0..10)
+        .map(|_| {
+            let sent = Instant::now();
+            stream.write_all(request.as_bytes()).expect("write request");
+            let mut reply = String::new();
+            reader.read_line(&mut reply).expect("read reply");
+            assert_eq!(event_of(reply.trim_end()), "accepted", "{reply}");
+            sent.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    waits_ms.sort_by(f64::total_cmp);
+    let median = waits_ms[waits_ms.len() / 2];
+    assert!(median < 10.0, "median submit-to-accepted {median:.2} ms, waits {waits_ms:?}");
     handle.shutdown();
 }
 
