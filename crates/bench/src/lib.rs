@@ -1,56 +1,7 @@
-//! Shared fixtures for the Criterion benchmarks and the `repro` binary.
-//!
-//! Every benchmark measures the kernel of one experiment (one COBRA/BIPS run to completion,
-//! one exact duality DP, one growth audit, …) on instances that are built once per benchmark
-//! group from a fixed seed, so benchmark numbers are comparable across runs and machines.
+//! The `repro bench` matrix behind the `repro` binary: engine and stream-sweep rows per
+//! `(process, graph)` pair, rendered as a table and a `BENCH_cover.json` report.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bench;
-
-use cobra_graph::generators;
-use cobra_graph::Graph;
-use cobra_stats::rng::{SeedSequence, TrialRng};
-
-/// The master seed all benchmarks derive their randomness from.
-pub const BENCH_SEED: u64 = 0xBE_2016;
-
-/// A deterministic RNG for benchmark bodies.
-pub fn bench_rng(label: &str) -> TrialRng {
-    SeedSequence::new(BENCH_SEED).trial_rng(label, 0)
-}
-
-/// A connected random `r`-regular benchmark instance (deterministic for a given `(n, r)`).
-///
-/// # Panics
-///
-/// Panics on invalid `(n, r)` combinations — benchmark configurations are code, not input.
-pub fn random_regular_instance(n: usize, r: usize) -> Graph {
-    let mut rng = SeedSequence::new(BENCH_SEED).trial_rng("instance", (n * 31 + r) as u64);
-    generators::connected_random_regular(n, r, &mut rng)
-        .expect("benchmark instances use valid parameters")
-}
-
-/// The 2-D torus benchmark instance.
-///
-/// # Panics
-///
-/// Panics if `side == 0`.
-pub fn torus_instance(side: usize) -> Graph {
-    generators::torus_2d(side, side).expect("benchmark instances use valid parameters")
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fixtures_are_deterministic() {
-        assert_eq!(random_regular_instance(64, 3), random_regular_instance(64, 3));
-        assert_eq!(torus_instance(8).num_vertices(), 64);
-        let mut a = bench_rng("x");
-        let mut b = bench_rng("x");
-        assert_eq!(rand::Rng::gen::<u64>(&mut a), rand::Rng::gen::<u64>(&mut b));
-    }
-}
