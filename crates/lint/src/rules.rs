@@ -9,7 +9,7 @@
 //! | R0 | everywhere | malformed `cobra-lint` comment; `hot`/`draws` directive attached to nothing |
 //! | R1 | everywhere except the sampler allow-list | `gen_range`, `.choose*`, `.gen`, `next_u64()%`-style modulo reduction |
 //! | R2 | `crates/core`, `crates/graph` | `HashMap`/`HashSet` (default `RandomState`) outside `use` decls |
-//! | R3 | everywhere | allocation inside a `hot` fn; an unannotated `step_faulted`/adversary `observe` |
+//! | R3 | everywhere | allocation inside a `hot` fn; an unannotated `step_faulted` or adversary/defense `observe` |
 //! | R4 | `crates/core` | RNG use inside a fn with no `draws(0)`/`draws(bounded)` contract |
 //! | R5 | everywhere | single-threaded shared state (`RefCell`/`Cell`/`Rc`/`static mut`) inside a `par` fn; an unannotated `step_streams` |
 //!
@@ -27,6 +27,9 @@ const R1_EXEMPT_FILES: &[&str] = &["crates/graph/src/sample.rs", "crates/core/sr
 /// The dense reference engines are exempt from the `hot` obligation on `step_faulted`:
 /// they are clarity-first oracles, not production paths.
 const R3_REQUIRED_HOT_EXEMPT: &[&str] = &["crates/core/src/reference.rs"];
+
+/// The policy modules whose `observe` impls run every round and must be annotated `hot`.
+const R3_POLICY_FILES: &[&str] = &["crates/core/src/adversary.rs", "crates/core/src/defense.rs"];
 
 fn in_crate(rel_path: &str, krate: &str) -> bool {
     rel_path.starts_with(&format!("crates/{krate}/src/"))
@@ -141,14 +144,15 @@ const ALLOCATING_METHODS: &[&str] = &["with_capacity", "to_vec", "to_owned", "to
 /// R3 — hot-path allocation. Functions annotated `hot` may not construct containers; the
 /// step/observe paths run millions of rounds and must reuse their scratch buffers. The rule
 /// also *requires* the annotation on every `step_faulted` impl in `crates/core` and every
-/// `observe` impl in the adversary module, so new process code cannot silently opt out.
+/// `observe` impl in the adversary and defense modules (the environment wrapper calls both
+/// policies every round), so new process or policy code cannot silently opt out.
 fn r3_hot_path_alloc(rel_path: &str, a: &FileAnalysis, out: &mut Vec<Violation>) {
     // Part 1: required-hot obligations.
     let requires_hot = |fn_name: &str| -> bool {
         (in_crate(rel_path, "core")
             && fn_name == "step_faulted"
             && !R3_REQUIRED_HOT_EXEMPT.contains(&rel_path))
-            || (rel_path == "crates/core/src/adversary.rs" && fn_name == "observe")
+            || (R3_POLICY_FILES.contains(&rel_path) && fn_name == "observe")
     };
     for f in &a.fns {
         if f.in_test || f.body.is_none() {

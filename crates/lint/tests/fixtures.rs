@@ -77,6 +77,24 @@ fn r3_ok_fixture_is_clean_with_hot_annotation_and_scratch_reuse() {
 }
 
 #[test]
+fn r3_policy_bad_fixture_fires_on_unannotated_defense_and_adversary_observe() {
+    let src = include_str!("fixtures/r3_policy_bad.rs");
+    for file in ["crates/core/src/defense.rs", "crates/core/src/adversary.rs"] {
+        let v = lint_source(file, src);
+        assert_eq!(fired(file, src), vec!["R3"], "{v:?}");
+        assert!(v.iter().any(|v| v.message.contains("`observe` is a mandatory hot path")), "{v:?}");
+    }
+    // Other modules' `observe` fns (sim observers, say) carry no obligation.
+    assert!(fired("crates/core/src/sim.rs", src).is_empty());
+}
+
+#[test]
+fn r3_policy_ok_fixture_is_clean_with_hot_observe() {
+    let v = lint_source("crates/core/src/defense.rs", include_str!("fixtures/r3_policy_ok.rs"));
+    assert!(v.is_empty(), "{v:?}");
+}
+
+#[test]
 fn r4_bad_fixture_fires_on_unregistered_rng_uses() {
     let v = lint_source("crates/core/src/fixture.rs", include_str!("fixtures/r4_bad.rs"));
     let r4: Vec<_> = v.iter().filter(|v| v.rule == "R4").collect();
