@@ -13,15 +13,14 @@
 //!
 //! | policy | spec clause | behaviour |
 //! |--------|-------------|-----------|
-//! | oblivious | `adv=oblivious` | delegates to the plan's own `drop=`/`gedrop=`/`crash=`/`repair=` clauses through the shared plan-dynamics machinery of [`fault`](crate::fault) — **bit-identical** to the bare fault path (property-tested) |
+//! | oblivious | `adv=oblivious` | builds no policy: the plan's own `drop=`/`gedrop=`/`crash=`/`repair=` clauses already are the oblivious adversary, so the run is **bit-identical** to the plan without the clause, in both engines (property-tested) |
 //! | crash-top-degree | `adv=topdeg:budget=5%` (or `budget=12`, optional `rate=R`) | each round, permanently crashes up to `rate` (default 1) of the highest-degree *currently active* vertices, until a total budget (fraction or count of `V`) is spent; the start vertex is protected |
 //! | drop-frontier | `adv=dropfront[:f=0.8]` | drops (with probability `f`, default 1) only the transmissions *leaving* the vertices that became active in the previous round — the growth front |
 //! | partition | `adv=partition:w=16` | tracks the ever-active-vs-rest cut incrementally as a trigger; once the tracked side holds half the graph, each new sparsity minimum severs the *globally sparsest* cut (found once by the spectral sweep of [`cobra_spectral::conductance`]) for `w` rounds |
 //!
 //! All policies are deterministic functions of the observed state and the seeded RNG
-//! stream (`oblivious` consumes randomness exactly as the plan it delegates to would;
-//! `partition` draws a bounded number of words once, for the power iteration's random
-//! start vector), so adversarial runs stay bit-reproducible under seeded RNGs.
+//! stream (`partition` draws a bounded number of words once, for the power iteration's
+//! random start vector), so adversarial runs stay bit-reproducible under seeded RNGs.
 //!
 //! # Spec syntax
 //!
@@ -54,14 +53,14 @@
 //!
 //! # Architecture
 //!
-//! [`ProcessSpec::build`](crate::spec::ProcessSpec::build) routes plans carrying an `adv=`
-//! clause to [`build_adversarial`]: the base process (wrapped in a
-//! [`FaultedProcess`] when oblivious clauses remain) is
-//! enclosed in an [`AdversarialProcess`], which calls
-//! [`AdversaryPolicy::observe`] before each step and feeds the policy's
-//! [`faults`](AdversaryPolicy::faults) into
-//! [`step_faulted`](SpreadingProcess::step_faulted). The wrapper is an ordinary
-//! [`SpreadingProcess`], so the `Runner`, every observer, churn segmentation
+//! [`ProcessSpec::build`](crate::spec::ProcessSpec::build) runs every plan through the
+//! one environment wrapper, [`FaultedProcess`](crate::fault::FaultedProcess), which holds
+//! the policy [`AdversarySpec::build_policy`] returns. Each round it calls
+//! [`AdversaryPolicy::observe`] after the defense has acted and before the plan dynamics
+//! advance, folds the policy's crashes into the plan's crashed set, and composes the
+//! policy's [`faults`](AdversaryPolicy::faults) with the plan's into the view the inner
+//! process steps under. The wrapper is an ordinary [`SpreadingProcess`], so the `Runner`,
+//! every observer, churn segmentation
 //! ([`run_churned_observed`](crate::fault::run_churned_observed) builds a fresh wrapper —
 //! and thus a fresh policy with a fresh budget — per epoch, mirroring the per-epoch
 //! re-draw of sampled crash sets) and the Monte-Carlo drivers handle adversarial runs
@@ -74,9 +73,8 @@ use cobra_graph::{Graph, VertexBitset, VertexId};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
-use crate::fault::{FaultPlan, FaultedProcess, PlanDynamics, StepFaults};
+use crate::fault::StepFaults;
 use crate::process::SpreadingProcess;
-use crate::spec::ProcessSpec;
 use crate::{CoreError, Result};
 
 /// A read-only window onto a running process and its graph — everything an adversary may
@@ -245,12 +243,12 @@ impl fmt::Display for AdversaryBudget {
 }
 
 /// A serializable description of an adaptive adversary, attached to a
-/// [`FaultPlan`] with an `adv=` clause.
+/// [`FaultPlan`](crate::fault::FaultPlan) with an `adv=` clause.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[non_exhaustive]
 pub enum AdversarySpec {
-    /// Route the plan's own oblivious clauses through the adversary engine
-    /// (`adv=oblivious`) — bit-identical to the plain fault path.
+    /// No policy (`adv=oblivious`): the plan's own oblivious clauses are the adversary, so
+    /// the run is bit-identical to the plain fault path.
     Oblivious,
     /// Crash the highest-degree active vertices, up to `rate` per round, until `budget`
     /// vertices are down (`adv=topdeg:budget=5%[,rate=R]`). Crashes are permanent and the
@@ -316,26 +314,16 @@ impl AdversarySpec {
     }
 
     /// Builds the runtime policy for a process whose protected start vertex is `protect`.
-    ///
-    /// For [`AdversarySpec::Oblivious`], `residual` (the plan's non-adversary clauses) is
-    /// consumed by the policy; the other policies ignore it — [`build_adversarial`] wraps
-    /// those around a [`FaultedProcess`] instead.
+    /// [`AdversarySpec::Oblivious`] builds none: the plan's own clauses already are the
+    /// oblivious adversary.
     ///
     /// # Errors
     ///
     /// Propagates parameter validation.
-    pub fn build_policy(
-        &self,
-        residual: &FaultPlan,
-        protect: VertexId,
-        num_vertices: usize,
-    ) -> Result<Box<dyn AdversaryPolicy>> {
+    pub fn build_policy(&self, protect: VertexId) -> Result<Option<Box<dyn AdversaryPolicy>>> {
         self.validate()?;
-        Ok(match self {
-            AdversarySpec::Oblivious => Box::new(ObliviousPolicy {
-                dynamics: PlanDynamics::new(residual, protect, num_vertices)?,
-                drop: 0.0,
-            }),
+        Ok(Some(match self {
+            AdversarySpec::Oblivious => return Ok(None),
             AdversarySpec::CrashTopDegree { budget, rate } => Box::new(CrashTopDegreePolicy {
                 budget: budget.clone(),
                 rate: *rate,
@@ -356,7 +344,7 @@ impl AdversarySpec {
                 frozen: None,
                 severing_left: 0,
             }),
-        })
+        }))
     }
 }
 
@@ -451,33 +439,6 @@ impl FromStr for AdversarySpec {
         }
         spec.validate()?;
         Ok(spec)
-    }
-}
-
-/// The `adv=oblivious` policy: the plan's own clauses, advanced through the same
-/// [`PlanDynamics`] the [`FaultedProcess`] wrapper uses — identical RNG draws, identical
-/// crash evolution, identical channel sojourns.
-#[derive(Debug)]
-struct ObliviousPolicy {
-    dynamics: PlanDynamics,
-    /// This round's drop probability, computed by [`AdversaryPolicy::observe`].
-    drop: f64,
-}
-
-impl AdversaryPolicy for ObliviousPolicy {
-    // cobra-lint: hot
-    // cobra-lint: draws(bounded)
-    fn observe(&mut self, _view: &ProcessView<'_>, rng: &mut dyn RngCore) {
-        self.drop = self.dynamics.begin_round(rng, None);
-    }
-
-    fn faults(&self) -> StepFaults<'_> {
-        StepFaults::new(self.drop, self.dynamics.crashed())
-    }
-
-    fn reset(&mut self) {
-        self.drop = 0.0;
-        self.dynamics.reset();
     }
 }
 
@@ -682,275 +643,11 @@ impl AdversaryPolicy for PartitionPolicy {
     }
 }
 
-/// Wraps any boxed process so that an [`AdversaryPolicy`] observes it before every round
-/// and injects that round's faults.
-///
-/// The wrapper is itself a [`SpreadingProcess`]; outer faults passed to its own
-/// [`step_faulted`](SpreadingProcess::step_faulted) (nested wrappers) are composed with
-/// the policy's — drops multiply, crash sets union, and for the shapes that cannot be
-/// merged (two targeted sets, two partitions) the policy's own faults win.
-pub struct AdversarialProcess<'g> {
-    inner: Box<dyn SpreadingProcess + Send + 'g>,
-    graph: &'g Graph,
-    policy: Box<dyn AdversaryPolicy>,
-    /// Scratch for unioning the policy's crash set with an outer caller's.
-    merged_crashes: VertexBitset,
-    merged_dirty: Vec<VertexId>,
-}
-
-impl fmt::Debug for AdversarialProcess<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("AdversarialProcess").field("policy", &self.policy).finish_non_exhaustive()
-    }
-}
-
-impl<'g> AdversarialProcess<'g> {
-    /// Wraps `inner` (which must run on `graph`) under `policy`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidParameters`] if `graph` is not the instance `inner`
-    /// runs on (the policy would observe degrees of the wrong graph).
-    pub fn new(
-        inner: Box<dyn SpreadingProcess + Send + 'g>,
-        graph: &'g Graph,
-        policy: Box<dyn AdversaryPolicy>,
-    ) -> Result<Self> {
-        let n = graph.num_vertices();
-        if inner.num_vertices() != n {
-            return Err(CoreError::InvalidParameters {
-                reason: format!(
-                    "adversary graph has {n} vertices but the process runs on {}",
-                    inner.num_vertices()
-                ),
-            });
-        }
-        Ok(AdversarialProcess {
-            inner,
-            graph,
-            policy,
-            merged_crashes: VertexBitset::new(n),
-            merged_dirty: Vec::new(),
-        })
-    }
-
-    /// The active policy.
-    pub fn policy(&self) -> &dyn AdversaryPolicy {
-        self.policy.as_ref()
-    }
-
-    /// The wrapped process.
-    pub fn inner(&self) -> &dyn SpreadingProcess {
-        self.inner.as_ref()
-    }
-}
-
-impl SpreadingProcess for AdversarialProcess<'_> {
-    // cobra-lint: hot
-    // cobra-lint: draws(bounded)
-    fn step_faulted(&mut self, rng: &mut dyn RngCore, outer: &StepFaults<'_>) {
-        self.policy.observe(&ProcessView::new(self.inner.as_ref(), self.graph), rng);
-        let own = self.policy.faults();
-        if outer.is_benign() {
-            self.inner.step_faulted(rng, &own);
-            return;
-        }
-        let drop = 1.0 - (1.0 - own.drop_probability()) * (1.0 - outer.drop_probability());
-        let (scratch, dirty) = (&mut self.merged_crashes, &mut self.merged_dirty);
-        let crashed = match (own.crashed_set(), outer.crashed_set()) {
-            (None, None) => None,
-            (Some(set), None) | (None, Some(set)) => Some(set),
-            (Some(a), Some(b)) => {
-                scratch.clear_list(dirty);
-                dirty.clear();
-                for set in [a, b] {
-                    set.for_each(&mut |v| {
-                        if scratch.insert(v) {
-                            dirty.push(v);
-                        }
-                    });
-                }
-                Some(&*scratch)
-            }
-        };
-        let (targeted_drop, targeted) = if own.targeted_set().is_some() {
-            (own.targeted_drop_probability(), own.targeted_set())
-        } else {
-            (outer.targeted_drop_probability(), outer.targeted_set())
-        };
-        let severed = own.severed_side().or(outer.severed_side());
-        let faults = StepFaults::new(drop, crashed)
-            .with_targeted(targeted_drop, targeted)
-            .with_partition(severed);
-        self.inner.step_faulted(rng, &faults);
-    }
-
-    // Stream mode: the policy's observation draws (crash-set sampling, the one-time
-    // spectral sweep) come from the reserved ADVERSARY_ENTITY stream at the current round;
-    // the fault-composition logic is the same as step_faulted's.
-    // cobra-lint: par
-    // cobra-lint: draws(bounded)
-    fn step_streams(
-        &mut self,
-        engine: &crate::parallel::ParallelFrontier,
-        outer: &StepFaults<'_>,
-    ) -> Result<()> {
-        let mut rng = engine.stream(crate::parallel::ADVERSARY_ENTITY, self.inner.round() as u64);
-        self.policy.observe(&ProcessView::new(self.inner.as_ref(), self.graph), &mut rng);
-        let own = self.policy.faults();
-        if outer.is_benign() {
-            return self.inner.step_streams(engine, &own);
-        }
-        let drop = 1.0 - (1.0 - own.drop_probability()) * (1.0 - outer.drop_probability());
-        let (scratch, dirty) = (&mut self.merged_crashes, &mut self.merged_dirty);
-        let crashed = match (own.crashed_set(), outer.crashed_set()) {
-            (None, None) => None,
-            (Some(set), None) | (None, Some(set)) => Some(set),
-            (Some(a), Some(b)) => {
-                scratch.clear_list(dirty);
-                dirty.clear();
-                for set in [a, b] {
-                    set.for_each(&mut |v| {
-                        if scratch.insert(v) {
-                            dirty.push(v);
-                        }
-                    });
-                }
-                Some(&*scratch)
-            }
-        };
-        let (targeted_drop, targeted) = if own.targeted_set().is_some() {
-            (own.targeted_drop_probability(), own.targeted_set())
-        } else {
-            (outer.targeted_drop_probability(), outer.targeted_set())
-        };
-        let severed = own.severed_side().or(outer.severed_side());
-        let faults = StepFaults::new(drop, crashed)
-            .with_targeted(targeted_drop, targeted)
-            .with_partition(severed);
-        self.inner.step_streams(engine, &faults)
-    }
-
-    fn supports_streams(&self) -> bool {
-        self.inner.supports_streams()
-    }
-
-    fn round(&self) -> usize {
-        self.inner.round()
-    }
-
-    fn active(&self) -> &VertexBitset {
-        self.inner.active()
-    }
-
-    fn num_active(&self) -> usize {
-        self.inner.num_active()
-    }
-
-    fn newly_activated(&self) -> &[VertexId] {
-        self.inner.newly_activated()
-    }
-
-    fn for_each_active(&self, f: &mut dyn FnMut(VertexId)) {
-        self.inner.for_each_active(f);
-    }
-
-    fn for_each_token(&self, f: &mut dyn FnMut(VertexId)) {
-        self.inner.for_each_token(f);
-    }
-
-    fn num_vertices(&self) -> usize {
-        self.inner.num_vertices()
-    }
-
-    fn is_complete(&self) -> bool {
-        self.inner.is_complete()
-    }
-
-    fn coverage(&self) -> Option<&VertexBitset> {
-        self.inner.coverage()
-    }
-
-    fn adopt_state(&mut self, active: &[VertexId], coverage: Option<&VertexBitset>) -> Result<()> {
-        self.inner.adopt_state(active, coverage)
-    }
-
-    fn set_branching_boost(&mut self, multiplier: u32) -> f64 {
-        self.inner.set_branching_boost(multiplier)
-    }
-
-    fn reseed(&mut self, vertices: &[VertexId]) -> usize {
-        // Vertices the policy has crashed cannot be revived — filter the defense's
-        // targets through the current crash set instead of letting dead vertices
-        // silently absorb the recovery spend.
-        let own = self.policy.faults();
-        crate::fault::reseed_live(self.inner.as_mut(), own.crashed_set(), vertices)
-    }
-
-    fn reset(&mut self) {
-        self.inner.reset();
-        self.policy.reset();
-        self.merged_crashes.clear_list(&self.merged_dirty);
-        self.merged_dirty.clear();
-    }
-}
-
-/// Builds the adversarial process a plan with an `adv=` clause describes: the inner spec
-/// (wrapped in a [`FaultedProcess`] when oblivious clauses remain and the policy is not
-/// `oblivious` itself) enclosed in an [`AdversarialProcess`].
-///
-/// This is the routing target of [`ProcessSpec::build`](crate::spec::ProcessSpec::build);
-/// call it directly only when assembling wrappers by hand.
-///
-/// # Errors
-///
-/// Returns [`CoreError::InvalidParameters`] for a plan without an `adv=` clause or with a
-/// `churn=` clause (churned specs run through
-/// [`fault::run_churned`](crate::fault::run_churned), which strips churn per segment), and
-/// propagates process-construction and policy validation failures.
-pub fn build_adversarial<'g>(
-    inner: &ProcessSpec,
-    plan: &FaultPlan,
-    graph: &'g Graph,
-) -> Result<Box<dyn SpreadingProcess + Send + 'g>> {
-    let Some(adversary) = &plan.adversary else {
-        return Err(CoreError::InvalidParameters {
-            reason: "build_adversarial requires a plan with an adv= clause".to_string(),
-        });
-    };
-    if plan.churn.is_some() {
-        return Err(CoreError::InvalidParameters {
-            reason: "churn= re-instantiates the graph and cannot run on a fixed instance; \
-                     drive the spec through fault::run_churned (repro ad-hoc mode does this \
-                     automatically)"
-                .to_string(),
-        });
-    }
-    if plan.defense.is_some() {
-        return Err(CoreError::InvalidParameters {
-            reason: "def= policies wrap outside the adversary; build the spec via \
-                     ProcessSpec::build (or defense::build_defended) instead of \
-                     adversary::build_adversarial"
-                .to_string(),
-        });
-    }
-    let mut residual = plan.clone();
-    residual.adversary = None;
-    let protect = inner.start();
-    let process: Box<dyn SpreadingProcess + Send + 'g> = match adversary {
-        // The oblivious policy consumes the residual clauses itself.
-        AdversarySpec::Oblivious => inner.build(graph)?,
-        _ if residual.is_benign() => inner.build(graph)?,
-        _ => Box::new(FaultedProcess::new(inner.build(graph)?, &residual, protect)?),
-    };
-    let policy = adversary.build_policy(&residual, protect, graph.num_vertices())?;
-    Ok(Box::new(AdversarialProcess::new(process, graph, policy)?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::process::run_until_complete;
+    use crate::spec::ProcessSpec;
     use cobra_graph::generators;
     use rand::SeedableRng;
     use rand_chacha::ChaCha12Rng;
@@ -1052,7 +749,7 @@ mod tests {
         let graph = generators::complete(16).unwrap();
         let spec =
             AdversarySpec::CrashTopDegree { budget: AdversaryBudget::Count { count: 4 }, rate: 1 };
-        let mut policy = spec.build_policy(&FaultPlan::default(), 0, 16).unwrap();
+        let mut policy = spec.build_policy(0).unwrap().expect("topdeg builds a policy");
         let base: ProcessSpec = "bips:k=2".parse().unwrap();
         let mut inner = base.build(&graph).unwrap();
         let mut r = rng(7);
@@ -1088,9 +785,8 @@ mod tests {
     fn drop_frontier_tracks_the_previous_delta() {
         let graph = generators::complete(16).unwrap();
         let base: ProcessSpec = "push".parse().unwrap();
-        let mut policy = AdversarySpec::DropFrontier { f: 0.5 }
-            .build_policy(&FaultPlan::default(), 0, 16)
-            .unwrap();
+        let mut policy =
+            AdversarySpec::DropFrontier { f: 0.5 }.build_policy(0).unwrap().expect("a policy");
         let inner = base.build(&graph).unwrap();
         let mut r = rng(11);
         policy.observe(&ProcessView::new(inner.as_ref(), &graph), &mut r);
@@ -1128,9 +824,8 @@ mod tests {
     fn partition_policy_arms_freezes_and_releases() {
         let graph = generators::complete(8).unwrap();
         let base: ProcessSpec = "push".parse().unwrap();
-        let mut policy = AdversarySpec::Partition { window: 3 }
-            .build_policy(&FaultPlan::default(), 0, 8)
-            .unwrap();
+        let mut policy =
+            AdversarySpec::Partition { window: 3 }.build_policy(0).unwrap().expect("a policy");
         let mut inner = base.build(&graph).unwrap();
         // Put the process at exactly half coverage: the first observation sees the
         // four-vertex delta, arms, and strikes.
@@ -1222,24 +917,11 @@ mod tests {
     }
 
     #[test]
-    fn faulted_process_rejects_adversary_plans() {
-        let graph = generators::complete(8).unwrap();
-        let base = ProcessSpec::cobra(2).unwrap();
-        let plan = FaultPlan { adversary: Some(AdversarySpec::Oblivious), ..FaultPlan::default() };
-        assert!(FaultedProcess::new(base.build(&graph).unwrap(), &plan, 0).is_err());
-    }
-
-    #[test]
-    fn build_adversarial_rejects_churn_and_missing_adv() {
-        let graph = generators::complete(8).unwrap();
-        let base = ProcessSpec::cobra(2).unwrap();
-        assert!(build_adversarial(&base, &FaultPlan::default(), &graph).is_err());
-        let churny = FaultPlan {
-            adversary: Some(AdversarySpec::Oblivious),
-            churn: Some(4),
-            ..FaultPlan::default()
-        };
-        assert!(build_adversarial(&base, &churny, &graph).is_err());
+    fn oblivious_adversary_builds_no_policy() {
+        assert!(AdversarySpec::Oblivious.build_policy(0).unwrap().is_none());
+        for spec in examples().into_iter().skip(1) {
+            assert!(spec.build_policy(0).unwrap().is_some(), "{spec} builds a policy");
+        }
     }
 
     #[test]

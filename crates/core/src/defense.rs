@@ -4,14 +4,16 @@
 //! [`ProcessView`] and *spends* recovery levers. The symmetry is deliberate: both are
 //! two-phase (`observe` first, then the engine collects the decision), both see only the
 //! read-only view, and both compose through the `+` fault-clause grammar of
-//! [`ProcessSpec`]. The levers a defense may pull, bundled in
+//! [`ProcessSpec`](crate::spec::ProcessSpec). The levers a defense may pull, bundled in
 //! [`DefenseActions`]:
 //!
 //! * a **per-round branching multiplier** — each process multiplies its per-token fan-out
-//!   (`k`) by this factor via [`SpreadingProcess::set_branching_boost`]; the cost is
-//!   accounted as *extra transmissions spent* in [`DefenseStats`],
+//!   (`k`) by this factor via
+//!   [`SpreadingProcess::set_branching_boost`](crate::process::SpreadingProcess::set_branching_boost);
+//!   the cost is accounted as *extra transmissions spent* in [`DefenseStats`],
 //! * a **re-seed set** — already-covered vertices to re-activate via
-//!   [`SpreadingProcess::reseed`] when the live frontier has died,
+//!   [`SpreadingProcess::reseed`](crate::process::SpreadingProcess::reseed) when the live
+//!   frontier has died,
 //! * a **transmission backoff** — rounds in which the defense mutes its own process
 //!   (composed as a unit drop), the cooperative cousin of a crash fault.
 //!
@@ -46,32 +48,30 @@
 //!
 //! # Architecture
 //!
-//! [`DefendedProcess`] is the *outermost* wrapper: each round the policy observes, the
-//! wrapper applies any re-seed and branching boost, and only then does the inner process
-//! (possibly an [`AdversarialProcess`](crate::adversary::AdversarialProcess)) take its
-//! step — so an adaptive adversary observes the *post-recovery* state and the arms race is
-//! fair. Routing lives in [`build_defended`], the target
-//! [`ProcessSpec::build`](crate::spec::ProcessSpec::build) dispatches to for any plan with
-//! a `def=` clause.
+//! [`ProcessSpec::build`](crate::spec::ProcessSpec::build) runs every plan through the
+//! one environment wrapper, [`FaultedProcess`](crate::fault::FaultedProcess), which holds
+//! the policy [`DefenseSpec::build_policy`] returns together with its [`DefenseStats`]
+//! ledger. The defense acts first each round: the policy observes, the wrapper applies any
+//! re-seed and branching boost, and only then does the adversary observe and the inner
+//! process step — so an adaptive adversary sees the *post-recovery* state and the arms
+//! race is fair. [`FaultedProcess::stats`](crate::fault::FaultedProcess::stats) reads the
+//! ledger after a run.
 
 use std::fmt;
 use std::str::FromStr;
 
-use cobra_graph::{Graph, VertexBitset, VertexId};
+use cobra_graph::{VertexBitset, VertexId};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
-use crate::adversary::{build_adversarial, AdversaryBudget, ProcessView};
-use crate::fault::{FaultPlan, FaultedProcess, StepFaults};
-use crate::process::SpreadingProcess;
-use crate::spec::ProcessSpec;
+use crate::adversary::{AdversaryBudget, ProcessView};
 use crate::{CoreError, Result};
 
 /// The recovery levers a [`DefensePolicy`] pulls for one round.
 ///
 /// The inert value (`k_multiplier == 1`, empty re-seed set, no backoff) is a guarantee,
-/// not a hint: [`DefendedProcess`] makes **zero** process-hook calls for it, so an inert
-/// policy is bit-identical to no defense at all.
+/// not a hint: [`FaultedProcess`](crate::fault::FaultedProcess) makes **zero** process-hook
+/// calls for it, so an inert policy is bit-identical to no defense at all.
 #[derive(Debug, Clone, Copy)]
 pub struct DefenseActions<'a> {
     /// Factor each process multiplies its per-token branching (`k`) by this round.
@@ -111,15 +111,15 @@ pub trait DefensePolicy: fmt::Debug + Send {
     fn reset(&mut self);
 }
 
-/// Cost ledger of a [`DefendedProcess`]: what the defense *spent*, so experiments can
-/// report recovery at matched cost.
+/// Cost ledger of a defended [`FaultedProcess`](crate::fault::FaultedProcess): what the
+/// defense *spent*, so experiments can report recovery at matched cost.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DefenseStats {
     /// Rounds in which a branching multiplier above 1 was in force.
     pub boost_rounds: usize,
     /// Expected extra transmissions the boosts cost, summed over boosted rounds (each
     /// process reports its own per-round figure from
-    /// [`set_branching_boost`](SpreadingProcess::set_branching_boost)).
+    /// [`set_branching_boost`](crate::process::SpreadingProcess::set_branching_boost)).
     pub extra_transmissions: f64,
     /// How many times a non-empty re-seed set was applied.
     pub reseed_events: usize,
@@ -368,8 +368,8 @@ impl DefensePolicy for AdaptiveKPolicy {
     }
 }
 
-/// A serializable description of a defense policy, attached to a [`FaultPlan`] with a
-/// `def=` clause.
+/// A serializable description of a defense policy, attached to a
+/// [`FaultPlan`](crate::fault::FaultPlan) with a `def=` clause.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum DefenseSpec {
     /// `def=passive` — the no-op bit-identity baseline.
@@ -539,265 +539,27 @@ impl FromStr for DefenseSpec {
     }
 }
 
-/// Wraps any boxed process so a [`DefensePolicy`] observes it before every round and
-/// applies that round's recovery levers.
-///
-/// This is the **outermost** wrapper: the policy sees the pre-round state, re-seeds and
-/// boosts first, and only then does the inner process (possibly adversarial) step — so an
-/// adaptive adversary observes the post-recovery state and the arms race is fair. The
-/// wrapper does *not* forward [`set_branching_boost`](SpreadingProcess::set_branching_boost)
-/// or [`reseed`](SpreadingProcess::reseed) from outside: the defense layer owns those
-/// levers, and an outer caller fighting the policy for them would make the cost ledger
-/// meaningless.
-pub struct DefendedProcess<'g> {
-    inner: Box<dyn SpreadingProcess + Send + 'g>,
-    graph: &'g Graph,
-    policy: Box<dyn DefensePolicy>,
-    /// The multiplier currently programmed into the inner process, so the inert path
-    /// (multiplier 1 on both sides) makes zero hook calls.
-    applied_multiplier: u32,
-    stats: DefenseStats,
-}
-
-impl fmt::Debug for DefendedProcess<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DefendedProcess")
-            .field("policy", &self.policy)
-            .field("stats", &self.stats)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<'g> DefendedProcess<'g> {
-    /// Wraps `inner` (which must run on `graph`) under `policy`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidParameters`] if `graph` is not the instance `inner`
-    /// runs on.
-    pub fn new(
-        inner: Box<dyn SpreadingProcess + Send + 'g>,
-        graph: &'g Graph,
-        policy: Box<dyn DefensePolicy>,
-    ) -> Result<Self> {
-        let n = graph.num_vertices();
-        if inner.num_vertices() != n {
-            return Err(CoreError::InvalidParameters {
-                reason: format!(
-                    "defense graph has {n} vertices but the process runs on {}",
-                    inner.num_vertices()
-                ),
-            });
-        }
-        Ok(DefendedProcess {
-            inner,
-            graph,
-            policy,
-            applied_multiplier: 1,
-            stats: DefenseStats::default(),
-        })
-    }
-
-    /// The active policy.
-    pub fn policy(&self) -> &dyn DefensePolicy {
-        self.policy.as_ref()
-    }
-
-    /// The wrapped process.
-    pub fn inner(&self) -> &dyn SpreadingProcess {
-        self.inner.as_ref()
-    }
-
-    /// What the defense has spent so far this trial.
-    pub fn stats(&self) -> DefenseStats {
-        self.stats
-    }
-}
-
-impl SpreadingProcess for DefendedProcess<'_> {
-    // cobra-lint: hot
-    // cobra-lint: draws(bounded)
-    fn step_faulted(&mut self, rng: &mut dyn RngCore, outer: &StepFaults<'_>) {
-        self.policy.observe(&ProcessView::new(self.inner.as_ref(), self.graph), rng);
-        let actions = self.policy.actions();
-        let multiplier = actions.k_multiplier.max(1);
-        if !actions.reseed.is_empty() {
-            let inserted = self.inner.reseed(actions.reseed);
-            if inserted > 0 {
-                self.stats.reseed_events += 1;
-                self.stats.reseeded_vertices += inserted;
-            }
-        }
-        // Re-program the multiplier whenever it changes, and re-poll the per-round cost
-        // whenever it is in force (the cost depends on the current frontier). On the inert
-        // path (1 applied, 1 requested) this makes no hook call at all.
-        if multiplier != self.applied_multiplier || multiplier > 1 {
-            let extra = self.inner.set_branching_boost(multiplier);
-            self.applied_multiplier = multiplier;
-            if multiplier > 1 {
-                self.stats.boost_rounds += 1;
-                self.stats.extra_transmissions += extra;
-            }
-        }
-        if actions.backoff > 0 {
-            // Mute our own transmissions: compose a unit drop over the outer faults.
-            self.stats.backoff_rounds += 1;
-            let muted = StepFaults::new(1.0, outer.crashed_set())
-                .with_targeted(outer.targeted_drop_probability(), outer.targeted_set())
-                .with_partition(outer.severed_side());
-            self.inner.step_faulted(rng, &muted);
-        } else {
-            self.inner.step_faulted(rng, outer);
-        }
-    }
-
-    // Stream mode: the policy's observation draws come from the reserved DEFENSE_ENTITY
-    // stream at the current round; lever accounting mirrors step_faulted's.
-    // cobra-lint: par
-    // cobra-lint: draws(bounded)
-    fn step_streams(
-        &mut self,
-        engine: &crate::parallel::ParallelFrontier,
-        outer: &StepFaults<'_>,
-    ) -> Result<()> {
-        let mut rng = engine.stream(crate::parallel::DEFENSE_ENTITY, self.inner.round() as u64);
-        self.policy.observe(&ProcessView::new(self.inner.as_ref(), self.graph), &mut rng);
-        let actions = self.policy.actions();
-        let multiplier = actions.k_multiplier.max(1);
-        if !actions.reseed.is_empty() {
-            let inserted = self.inner.reseed(actions.reseed);
-            if inserted > 0 {
-                self.stats.reseed_events += 1;
-                self.stats.reseeded_vertices += inserted;
-            }
-        }
-        if multiplier != self.applied_multiplier || multiplier > 1 {
-            let extra = self.inner.set_branching_boost(multiplier);
-            self.applied_multiplier = multiplier;
-            if multiplier > 1 {
-                self.stats.boost_rounds += 1;
-                self.stats.extra_transmissions += extra;
-            }
-        }
-        if actions.backoff > 0 {
-            self.stats.backoff_rounds += 1;
-            let muted = StepFaults::new(1.0, outer.crashed_set())
-                .with_targeted(outer.targeted_drop_probability(), outer.targeted_set())
-                .with_partition(outer.severed_side());
-            self.inner.step_streams(engine, &muted)
-        } else {
-            self.inner.step_streams(engine, outer)
-        }
-    }
-
-    fn supports_streams(&self) -> bool {
-        self.inner.supports_streams()
-    }
-
-    fn round(&self) -> usize {
-        self.inner.round()
-    }
-
-    fn active(&self) -> &VertexBitset {
-        self.inner.active()
-    }
-
-    fn num_active(&self) -> usize {
-        self.inner.num_active()
-    }
-
-    fn newly_activated(&self) -> &[VertexId] {
-        self.inner.newly_activated()
-    }
-
-    fn for_each_active(&self, f: &mut dyn FnMut(VertexId)) {
-        self.inner.for_each_active(f);
-    }
-
-    fn for_each_token(&self, f: &mut dyn FnMut(VertexId)) {
-        self.inner.for_each_token(f);
-    }
-
-    fn num_vertices(&self) -> usize {
-        self.inner.num_vertices()
-    }
-
-    fn is_complete(&self) -> bool {
-        self.inner.is_complete()
-    }
-
-    fn coverage(&self) -> Option<&VertexBitset> {
-        self.inner.coverage()
-    }
-
-    fn adopt_state(&mut self, active: &[VertexId], coverage: Option<&VertexBitset>) -> Result<()> {
-        self.inner.adopt_state(active, coverage)
-    }
-
-    fn reset(&mut self) {
-        self.inner.reset();
-        self.policy.reset();
-        self.applied_multiplier = 1;
-        self.stats = DefenseStats::default();
-    }
-}
-
-/// Builds the defended process a plan with a `def=` clause describes: the inner spec —
-/// wrapped adversarially when an `adv=` clause remains, faulted when only oblivious
-/// clauses remain — enclosed in the outermost [`DefendedProcess`].
-///
-/// Returns the concrete wrapper (not a boxed trait object) so callers can read
-/// [`DefenseStats`] after a run; [`ProcessSpec::build`](crate::spec::ProcessSpec::build)
-/// boxes it for the generic pipeline.
-///
-/// # Errors
-///
-/// Returns [`CoreError::InvalidParameters`] for a plan without a `def=` clause or with a
-/// `churn=` clause (churned specs run through
-/// [`fault::run_churned`](crate::fault::run_churned), which strips churn per segment), and
-/// propagates process-construction and policy validation failures.
-pub fn build_defended<'g>(
-    inner: &ProcessSpec,
-    plan: &FaultPlan,
-    graph: &'g Graph,
-) -> Result<DefendedProcess<'g>> {
-    let Some(defense) = &plan.defense else {
-        return Err(CoreError::InvalidParameters {
-            reason: "build_defended requires a plan with a def= clause".to_string(),
-        });
-    };
-    if plan.churn.is_some() {
-        return Err(CoreError::InvalidParameters {
-            reason: "churn= re-instantiates the graph and cannot run on a fixed instance; \
-                     drive the spec through fault::run_churned (repro ad-hoc mode does this \
-                     automatically)"
-                .to_string(),
-        });
-    }
-    let mut residual = plan.clone();
-    residual.defense = None;
-    let process: Box<dyn SpreadingProcess + Send + 'g> = if residual.adversary.is_some() {
-        build_adversarial(inner, &residual, graph)?
-    } else if !residual.is_benign() {
-        let protect = inner.start();
-        Box::new(FaultedProcess::new(inner.build(graph)?, &residual, protect)?)
-    } else {
-        inner.build(graph)?
-    };
-    let policy = defense.build_policy()?;
-    DefendedProcess::new(process, graph, policy)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::process::run_until_complete;
-    use cobra_graph::generators;
+    use crate::fault::{FaultPlan, FaultedProcess};
+    use crate::process::{run_until_complete, SpreadingProcess};
+    use crate::spec::ProcessSpec;
+    use cobra_graph::{generators, Graph};
     use rand::SeedableRng;
     use rand_chacha::ChaCha12Rng;
 
     fn rng(seed: u64) -> ChaCha12Rng {
         ChaCha12Rng::seed_from_u64(seed)
+    }
+
+    /// `base` on `graph` under `policy` and no other adversity.
+    fn defended<'g>(
+        graph: &'g Graph,
+        base: &ProcessSpec,
+        policy: Box<dyn DefensePolicy>,
+    ) -> FaultedProcess<'g> {
+        FaultedProcess::new(base, &FaultPlan::none(), graph).unwrap().with_defense(policy)
     }
 
     fn examples() -> Vec<DefenseSpec> {
@@ -865,9 +627,7 @@ mod tests {
         let graph = generators::hypercube(6).unwrap();
         let base: ProcessSpec = "cobra:k=2".parse().unwrap();
         let mut bare = base.build(&graph).unwrap();
-        let mut defended =
-            DefendedProcess::new(base.build(&graph).unwrap(), &graph, Box::new(PassivePolicy))
-                .unwrap();
+        let mut defended = defended(&graph, &base, Box::new(PassivePolicy));
         let (mut r1, mut r2) = (rng(42), rng(42));
         for round in 0..40 {
             bare.step(&mut r1);
@@ -977,11 +737,10 @@ mod tests {
         for v in 0..8 {
             covered.insert(v);
         }
-        let mut inner = base.build(&graph).unwrap();
-        inner.adopt_state(&[], Some(&covered)).unwrap();
-        assert_eq!(inner.num_active(), 0, "the frontier starts dead");
         let policy = Box::new(ReseedPolicy::new(AdversaryBudget::Count { count: 2 }, 4));
-        let mut defended = DefendedProcess::new(inner, &graph, policy).unwrap();
+        let mut defended = defended(&graph, &base, policy);
+        defended.adopt_state(&[], Some(&covered)).unwrap();
+        assert_eq!(defended.num_active(), 0, "the frontier starts dead");
         let rounds = run_until_complete(&mut defended, &mut rng(11), 10_000);
         assert!(rounds.is_some(), "re-seeding must revive the dead run to completion");
         let stats = defended.stats();
@@ -1012,8 +771,7 @@ mod tests {
         let graph = generators::complete(16).unwrap();
         let base: ProcessSpec = "cobra:k=2".parse().unwrap();
         let policy = Box::new(FixedActions { multiplier: 3, backoff: 0 });
-        let mut defended =
-            DefendedProcess::new(base.build(&graph).unwrap(), &graph, policy).unwrap();
+        let mut defended = defended(&graph, &base, policy);
         let mut r = rng(13);
         for _ in 0..5 {
             defended.step(&mut r);
@@ -1028,8 +786,7 @@ mod tests {
         let graph = generators::complete(16).unwrap();
         let base: ProcessSpec = "push".parse().unwrap();
         let policy = Box::new(FixedActions { multiplier: 1, backoff: 1 });
-        let mut defended =
-            DefendedProcess::new(base.build(&graph).unwrap(), &graph, policy).unwrap();
+        let mut defended = defended(&graph, &base, policy);
         let mut r = rng(17);
         for _ in 0..10 {
             defended.step(&mut r);
@@ -1043,8 +800,7 @@ mod tests {
         let graph = generators::complete(16).unwrap();
         let base: ProcessSpec = "cobra:k=2".parse().unwrap();
         let policy = Box::new(FixedActions { multiplier: 3, backoff: 0 });
-        let mut defended =
-            DefendedProcess::new(base.build(&graph).unwrap(), &graph, policy).unwrap();
+        let mut defended = defended(&graph, &base, policy);
         let mut r = rng(19);
         for _ in 0..3 {
             defended.step(&mut r);
@@ -1054,19 +810,5 @@ mod tests {
         assert_eq!(defended.stats(), DefenseStats::default());
         assert_eq!(defended.round(), 0);
         assert_eq!(defended.num_active(), 1);
-    }
-
-    #[test]
-    fn build_defended_rejects_missing_def_and_churn() {
-        let graph = generators::complete(8).unwrap();
-        let base: ProcessSpec = "cobra:k=2".parse().unwrap();
-        let no_def = FaultPlan::default();
-        assert!(build_defended(&base, &no_def, &graph).is_err());
-        let churned: ProcessSpec = "cobra:k=2+churn=64+def=passive".parse().unwrap();
-        let (inner, plan) = match &churned {
-            ProcessSpec::Faulted { inner, plan } => (inner.as_ref(), plan),
-            other => panic!("expected a faulted spec, got {other:?}"),
-        };
-        assert!(build_defended(inner, plan, &graph).is_err());
     }
 }

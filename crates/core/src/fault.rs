@@ -29,16 +29,19 @@
 //!
 //! Faults are applied *inside* each process step: [`SpreadingProcess::step_faulted`] receives
 //! a [`StepFaults`] view (drop probability + crashed set) and every process consults it at
-//! its transmission points. The [`FaultedProcess`] wrapper owns a [`FaultPlan`], resolves the
-//! crash set (sampling it from the trial RNG on first use), advances the Gilbert–Elliott
-//! channel state once per round and forwards every step — so the `Runner`, all observers and
-//! `driver::run_spec_trials` drive a faulted process exactly like a bare one. A benign plan
-//! (no loss, no crashes) draws no extra randomness, which keeps the wrapped process
-//! bit-for-bit identical to the bare process under the same seeded RNG (property-tested in
-//! `tests/fault_equivalence.rs`). Channel sojourns are sampled geometrically *on entry* to a
-//! state, so rounds spent inside a state — in particular every round of a loss-free good
-//! period — advance the channel with **zero RNG draws**, and degenerate transition
-//! probabilities (`gedrop=1,1,f,f`, expected burst length 1) reproduce `drop=f` bit for bit.
+//! its transmission points. The [`FaultedProcess`] wrapper is the whole per-trial
+//! environment of a [`FaultPlan`]: it resolves the crash set (sampling it from the trial RNG
+//! on first use), advances the Gilbert–Elliott channel and any per-edge channel bank once
+//! per round, runs the plan's [`adversary`](crate::adversary) and
+//! [`defense`](crate::defense) policies, and forwards every step — so the `Runner`, all
+//! observers and `driver::run_spec_trials` drive a faulted process exactly like a bare one.
+//! A benign plan (no loss, no crashes) draws no extra randomness, which keeps the wrapped
+//! process bit-for-bit identical to the bare process under the same seeded RNG
+//! (property-tested in `tests/fault_equivalence.rs`). Channel sojourns are sampled
+//! geometrically *on entry* to a state, so rounds spent inside a state — in particular
+//! every round of a loss-free good period — advance the channel with **zero RNG draws**,
+//! and degenerate transition probabilities (`gedrop=1,1,f,f`, expected burst length 1)
+//! reproduce `drop=f` bit for bit.
 //!
 //! Churn cannot be expressed by a wrapper over a process that borrows one fixed graph;
 //! [`run_churned`] owns the segment loop instead: it re-instantiates the
@@ -91,12 +94,13 @@
 use std::fmt;
 
 use cobra_graph::generators::GraphFamily;
-use cobra_graph::{sample, VertexBitset, VertexId};
+use cobra_graph::{sample, Graph, VertexBitset, VertexId};
 use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
 
-use crate::adversary::AdversarySpec;
-use crate::defense::DefenseSpec;
+use crate::adversary::{AdversaryPolicy, AdversarySpec, ProcessView};
+use crate::defense::{DefensePolicy, DefenseSpec, DefenseStats};
+use crate::parallel::{ParallelFrontier, ADVERSARY_ENTITY, DEFENSE_ENTITY, FAULT_ENTITY};
 use crate::process::SpreadingProcess;
 use crate::sim::{Observer, RunOutcome, Runner, StopReason};
 use crate::spec::ProcessSpec;
@@ -302,9 +306,8 @@ impl FaultPlan {
         Ok(plan)
     }
 
-    /// Whether the plan injects no faults (no possible loss, no crashes, no churn, no
-    /// adversary — a plan carrying any `adv=` policy is never benign, since even a policy
-    /// over benign clauses routes the run through the adversary engine).
+    /// Whether the plan injects no faults: no possible loss, no crashes, no churn, and no
+    /// `adv=` or `def=` clause (a plan carrying one is never benign).
     pub fn is_benign(&self) -> bool {
         self.drop.is_lossless()
             && self.crash.is_none()
@@ -618,14 +621,9 @@ impl<'a> StepFaults<'a> {
     /// The same view with a per-edge Gilbert–Elliott channel bank: each transmission is
     /// additionally lost with the current loss probability of its *edge*'s channel.
     #[must_use]
-    pub(crate) fn with_edge_channels(mut self, channels: Option<&'a EdgeChannels>) -> Self {
+    fn with_edge_channels(mut self, channels: Option<&'a EdgeChannels>) -> Self {
         self.edge = channels;
         self
-    }
-
-    /// The per-edge channel bank, if one is active (outer-wrapper pass-through).
-    pub(crate) fn edge_channels(&self) -> Option<&'a EdgeChannels> {
-        self.edge
     }
 
     /// The same view with a targeted drop: transmissions leaving a vertex of `senders` are
@@ -747,12 +745,11 @@ impl<'a> StepFaults<'a> {
     }
 }
 
-/// Forwards a defense re-seed to `inner`, skipping vertices of `crashed`: a crashed vertex
-/// still receives but never relays, so reviving it cannot restart the spread — the revival
-/// attempt is simply lost, like any other transmission aimed at a dead node. Both fault
-/// wrappers route [`SpreadingProcess::reseed`] through this filter, which is what the
-/// defense engine's cost ledger counts as *actually revived* vertices.
-pub(crate) fn reseed_live(
+/// Forwards a re-seed to `inner`, skipping vertices of `crashed`: a crashed vertex still
+/// receives but never relays, so reviving it cannot restart the spread — the revival
+/// attempt is simply lost, like any other transmission aimed at a dead node. This is what
+/// the defense cost ledger counts as *actually revived* vertices.
+fn reseed_live(
     inner: &mut dyn SpreadingProcess,
     crashed: Option<&VertexBitset>,
     vertices: &[VertexId],
@@ -886,7 +883,7 @@ impl EdgeChannels {
     /// Returns [`CoreError::InvalidParameters`] if a vertex id exceeds 32 bits (the packed
     /// edge key reserves one half per endpoint).
     pub(crate) fn new(
-        graph: &cobra_graph::Graph,
+        graph: &Graph,
         p_bad: f64,
         p_good: f64,
         f_bad: f64,
@@ -1075,13 +1072,11 @@ impl EdgeChannels {
 }
 
 /// The per-round *dynamics* of a [`FaultPlan`] on one graph instance: lazy crash-set
-/// sampling, transient crash/repair evolution and the Gilbert–Elliott channel state.
-///
-/// This is the machinery shared — RNG draw for RNG draw — by the [`FaultedProcess`]
-/// wrapper and the [`adversary`](crate::adversary) engine's oblivious policy, which is what
-/// makes `adv=oblivious` bit-identical to the bare fault path by construction.
+/// sampling, transient crash/repair evolution and the Gilbert–Elliott channel state. The
+/// [`FaultedProcess`] wrapper advances it once per round and folds the adversary's crashes
+/// into its crashed set.
 #[derive(Debug)]
-pub(crate) struct PlanDynamics {
+struct PlanDynamics {
     drop: DropModel,
     channel: GeChannel,
     crash: CrashSpec,
@@ -1102,14 +1097,14 @@ pub(crate) struct PlanDynamics {
 impl PlanDynamics {
     /// Builds the dynamics of `plan` for an `n`-vertex instance, protecting `protect` (the
     /// start/source vertex) from sampled crash sets and transient re-crashes. The plan's
-    /// `churn` and `adversary` fields are *not* interpreted here — callers route them.
+    /// `churn`, `adversary` and `defense` fields are *not* interpreted here.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidParameters`] for an invalid plan or an over-sized crash
     /// count, and [`CoreError::VertexOutOfRange`] if an explicit crash list names a vertex
     /// outside the graph.
-    pub(crate) fn new(plan: &FaultPlan, protect: VertexId, n: usize) -> Result<Self> {
+    fn new(plan: &FaultPlan, protect: VertexId, n: usize) -> Result<Self> {
         plan.validate()?;
         // A crash count beyond the eligible population (everything but the protected
         // start) would be silently clamped at sampling time; reject it loudly instead,
@@ -1157,31 +1152,18 @@ impl PlanDynamics {
     }
 
     /// The resolved crashed set (`None` until a sampled set is drawn at the first round).
-    pub(crate) fn crashed(&self) -> Option<&VertexBitset> {
+    fn crashed(&self) -> Option<&VertexBitset> {
         self.crashed.as_ref()
     }
 
     /// Advances the dynamics by one round and returns this round's drop probability:
-    /// resolves a sampled crash set on first use, applies the crash/repair evolution, folds
-    /// `extra` crashed vertices in (outer-wrapper composition; folding each round keeps
-    /// them down under repair dynamics) and advances the loss channel. The RNG draw order
-    /// is the contract: resolve, repair, channel — a benign plan draws nothing.
+    /// resolves a sampled crash set on first use, applies the crash/repair evolution and
+    /// advances the loss channel. The RNG draw order is the contract: resolve, repair,
+    /// channel — a benign plan draws nothing.
     // cobra-lint: draws(bounded)
-    pub(crate) fn begin_round(
-        &mut self,
-        rng: &mut dyn RngCore,
-        extra: Option<&VertexBitset>,
-    ) -> f64 {
+    fn begin_round(&mut self, rng: &mut dyn RngCore) -> f64 {
         self.resolve_crashes(rng);
         self.update_crashes(rng);
-        if let Some(extra) = extra {
-            match &mut self.crashed {
-                Some(set) => extra.for_each(&mut |v| {
-                    set.insert(v);
-                }),
-                None => self.crashed = Some(extra.clone()),
-            }
-        }
         match self.drop {
             DropModel::Iid { f } => f,
             // Per-edge channels live in `EdgeChannels` on the faulted wrapper (they need
@@ -1200,13 +1182,26 @@ impl PlanDynamics {
         }
     }
 
+    /// Folds `extra` crashed vertices (the adversary's, or an outer caller's) into the
+    /// crashed set. Folding every round keeps them down under repair dynamics; no draws.
+    fn fold_crashes(&mut self, extra: Option<&VertexBitset>) {
+        let Some(extra) = extra else { return };
+        match &mut self.crashed {
+            Some(set) => extra.for_each(&mut |v| {
+                set.insert(v);
+            }),
+            None => self.crashed = Some(extra.clone()),
+        }
+    }
+
     /// Restores the pre-trial state: the channel restarts good, explicit crash lists are
-    /// restored pristine and sampled sets are re-drawn on next use.
-    pub(crate) fn reset(&mut self) {
+    /// restored pristine, folded crashes are dropped and sampled sets are re-drawn on next
+    /// use.
+    fn reset(&mut self) {
         self.channel = GeChannel::START;
         match self.crash {
-            CrashSpec::None => {}
-            // Repair may have mutated the explicit set mid-trial; restore the pristine list.
+            CrashSpec::None => self.crashed = None,
+            // Repair and folds may have mutated the explicit set; restore the pristine list.
             CrashSpec::Vertices { .. } => self.crashed = self.explicit.clone(),
             // Sampled crash sets are re-drawn for the next trial.
             _ => {
@@ -1271,60 +1266,93 @@ impl PlanDynamics {
     }
 }
 
-/// Wraps any boxed process so it steps under a [`FaultPlan`]'s drop and crash faults.
+/// Where one round's randomness comes from: the trial RNG in sequential mode, or the
+/// reserved per-(entity, round) streams in stream mode.
+enum Draws<'a> {
+    /// Sequential mode: every layer draws from the trial RNG, in layer order.
+    Trial(&'a mut dyn RngCore),
+    /// Stream mode: each layer draws from its reserved entity stream at the current round.
+    Streams(&'a ParallelFrontier),
+}
+
+impl Draws<'_> {
+    /// Runs `f` on the RNG layer `entity` draws from this round.
+    // cobra-lint: draws(bounded)
+    fn with<R>(&mut self, entity: u64, round: u64, f: impl FnOnce(&mut dyn RngCore) -> R) -> R {
+        match self {
+            Draws::Trial(rng) => f(&mut **rng),
+            Draws::Streams(engine) => f(&mut engine.stream(entity, round)),
+        }
+    }
+}
+
+/// Runs any process inside its per-trial adversity environment: a [`FaultPlan`]'s
+/// oblivious clauses, its optional [`adversary`](crate::adversary) policy and its optional
+/// [`defense`](crate::defense) policy.
+///
+/// The wrapper owns the whole environment — the plan dynamics (lazy crash sampling,
+/// crash/repair evolution, the Gilbert–Elliott channel), the per-edge channel bank of a
+/// `gedrop=…:scope=edge` plan, the adversary policy and the defense policy with its
+/// [`DefenseStats`] ledger — and composes them in one per-round body that both
+/// [`step_faulted`](SpreadingProcess::step_faulted) and
+/// [`step_streams`](SpreadingProcess::step_streams) run:
+///
+/// 1. the defense observes the pre-round state;
+/// 2. its re-seed set is applied, skipping crashed vertices;
+/// 3. its branching multiplier is programmed;
+/// 4. the adversary observes the post-recovery state, so the arms race is fair;
+/// 5. the plan dynamics advance and fold in the adversary's crashes;
+/// 6. the edge bank advances;
+/// 7. the inner process steps under the composed faults.
+///
+/// Sequential mode draws every step from the trial RNG in this order. Stream mode draws
+/// step 1 from [`DEFENSE_ENTITY`], step 4 from [`ADVERSARY_ENTITY`] and steps 5–6 from
+/// [`FAULT_ENTITY`], all at the current round, so `--threads N` stays bit-identical. A
+/// benign plan without policies draws nothing, and an inert defense makes no process-hook
+/// calls, so both are bit-identical to the bare process. `adv=oblivious` builds no policy:
+/// the plan's own clauses already are the oblivious adversary.
 ///
 /// The wrapper is itself a [`SpreadingProcess`], so the `Runner`, every observer and the
-/// Monte-Carlo driver handle it exactly like a bare process. Sampled crash sets
-/// ([`CrashSpec::Percent`] / [`CrashSpec::Count`]) are drawn from the step RNG on first use
-/// — i.e. per trial, since drivers build one process per trial — always excluding the
-/// protected start vertex. Explicit sets are validated and fixed at construction. With a
-/// `repair=` rate the crash set evolves per round (see [`FaultPlan::repair`]); the
-/// Gilbert–Elliott channel state, when configured, also advances once per round.
-///
-/// Churn is *not* handled here (a wrapper cannot re-instantiate a graph its inner process
-/// borrows); use [`run_churned`]. Construction therefore rejects plans with `churn=`.
-/// Adaptive `adv=` clauses are handled by the [`adversary`](crate::adversary) engine and
-/// are likewise rejected — [`ProcessSpec::build`](crate::spec::ProcessSpec::build) routes
-/// them.
+/// Monte-Carlo driver handle it exactly like a bare process. Churn is *not* handled here
+/// (a wrapper cannot re-instantiate a graph its inner process borrows); use
+/// [`run_churned`].
 pub struct FaultedProcess<'g> {
     inner: Box<dyn SpreadingProcess + Send + 'g>,
+    graph: &'g Graph,
     dynamics: PlanDynamics,
-    /// Per-edge channel bank for [`DropModel::EdgeGilbertElliott`] plans; built only by
-    /// [`FaultedProcess::with_graph`] (the wrapper alone cannot see the edge set).
+    /// Per-edge channel bank of a lossy `gedrop=…:scope=edge` plan.
     edges: Option<EdgeChannels>,
+    adversary: Option<Box<dyn AdversaryPolicy>>,
+    defense: Option<Box<dyn DefensePolicy>>,
+    /// The multiplier currently programmed into the inner process, so the inert path
+    /// (multiplier 1 on both sides) makes zero hook calls.
+    applied_multiplier: u32,
+    stats: DefenseStats,
 }
 
 impl fmt::Debug for FaultedProcess<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FaultedProcess").field("dynamics", &self.dynamics).finish_non_exhaustive()
+        f.debug_struct("FaultedProcess")
+            .field("dynamics", &self.dynamics)
+            .field("adversary", &self.adversary)
+            .field("defense", &self.defense)
+            .field("stats", &self.stats)
+            .finish_non_exhaustive()
     }
 }
 
 impl<'g> FaultedProcess<'g> {
-    /// Wraps `inner` under `plan`, protecting `protect` (the start/source vertex) from
-    /// sampled crash sets and from transient re-crashes.
+    /// Builds `inner` on `graph` inside the environment `plan` describes. The start vertex
+    /// of `inner` is protected from sampled crash sets, transient re-crashes and adversary
+    /// crashes.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidParameters`] for an invalid plan, one with `churn=`
-    /// (see [`run_churned`]), one with an `adv=` policy (see
-    /// [`adversary`](crate::adversary)), or one with per-edge channels
-    /// (`gedrop=…:scope=edge` needs the graph's edge set; use
-    /// [`FaultedProcess::with_graph`]), and [`CoreError::VertexOutOfRange`] if an explicit
-    /// crash list names a vertex outside the graph.
-    pub fn new(
-        inner: Box<dyn SpreadingProcess + Send + 'g>,
-        plan: &FaultPlan,
-        protect: VertexId,
-    ) -> Result<Self> {
-        if matches!(plan.drop, DropModel::EdgeGilbertElliott { .. }) && !plan.drop.is_lossless() {
-            return Err(CoreError::InvalidParameters {
-                reason: "gedrop=…:scope=edge runs one channel per graph edge and needs the \
-                         graph; build the spec via ProcessSpec::build, or wrap it with \
-                         FaultedProcess::with_graph"
-                    .to_string(),
-            });
-        }
+    /// Returns [`CoreError::InvalidParameters`] for an invalid plan, one with `churn=` (see
+    /// [`run_churned`]) or an over-sized crash count, [`CoreError::VertexOutOfRange`] if an
+    /// explicit crash list names a vertex outside the graph, and propagates the
+    /// construction errors of `inner`.
+    pub fn new(inner: &ProcessSpec, plan: &FaultPlan, graph: &'g Graph) -> Result<Self> {
         if plan.churn.is_some() {
             return Err(CoreError::InvalidParameters {
                 reason: "churn= re-instantiates the graph and cannot run on a fixed instance; \
@@ -1333,65 +1361,44 @@ impl<'g> FaultedProcess<'g> {
                     .to_string(),
             });
         }
-        if plan.adversary.is_some() {
-            return Err(CoreError::InvalidParameters {
-                reason: "adv= policies are state-aware and run through the adversary engine; \
-                         build the spec via ProcessSpec::build (or adversary::build_adversarial) \
-                         instead of wrapping it in FaultedProcess"
-                    .to_string(),
-            });
-        }
-        if plan.defense.is_some() {
-            return Err(CoreError::InvalidParameters {
-                reason: "def= policies are state-aware and run through the defense engine; \
-                         build the spec via ProcessSpec::build (or defense::build_defended) \
-                         instead of wrapping it in FaultedProcess"
-                    .to_string(),
-            });
-        }
-        let n = inner.num_vertices();
-        let dynamics = PlanDynamics::new(plan, protect, n)?;
-        Ok(FaultedProcess { inner, dynamics, edges: None })
-    }
-
-    /// [`FaultedProcess::new`] for plans that may carry per-edge channels
-    /// (`gedrop=…:scope=edge`): builds the sparse `EdgeChannels` bank over `graph`'s
-    /// edge set. For every other plan this is exactly `new` — including lossless edge
-    /// plans, which skip the bank entirely. The bank advances once per round on the same
-    /// RNG (or the reserved fault stream, in stream mode) right after the plan dynamics,
-    /// so `--threads N` stays bit-identical.
-    ///
-    /// Nested fault wrappers do not *compose* edge banks: when both this wrapper and an
-    /// outer caller carry one, the inner bank wins (the spec grammar's one-loss-model rule
-    /// means no parsed spec can produce that shape).
-    ///
-    /// # Errors
-    ///
-    /// Everything [`FaultedProcess::new`] rejects except the edge-scope plan itself, plus
-    /// [`CoreError::InvalidParameters`] if a vertex id exceeds the packed 32-bit edge key.
-    pub fn with_graph(
-        inner: Box<dyn SpreadingProcess + Send + 'g>,
-        plan: &FaultPlan,
-        protect: VertexId,
-        graph: &cobra_graph::Graph,
-    ) -> Result<Self> {
-        let DropModel::EdgeGilbertElliott { p_bad, p_good, f_bad, f_good } = plan.drop else {
-            return FaultedProcess::new(inner, plan, protect);
+        let process = inner.build(graph)?;
+        let protect = inner.start();
+        let dynamics = PlanDynamics::new(plan, protect, graph.num_vertices())?;
+        let edges = match plan.drop {
+            DropModel::EdgeGilbertElliott { p_bad, p_good, f_bad, f_good }
+                if !plan.drop.is_lossless() =>
+            {
+                Some(EdgeChannels::new(graph, p_bad, p_good, f_bad, f_good)?)
+            }
+            _ => None,
         };
-        if plan.drop.is_lossless() {
-            // A lossless bank could never drop anything; run the plain wrapper.
-            let global = FaultPlan { drop: DropModel::iid(0.0), ..plan.clone() };
-            return FaultedProcess::new(inner, &global, protect);
-        }
-        // Route the non-drop clauses through `new`'s validation (churn/adv/def rejection,
-        // crash-list checks) with the drop model neutralised, then attach the bank.
-        let rest = FaultPlan { drop: DropModel::iid(0.0), ..plan.clone() };
-        let mut wrapper = FaultedProcess::new(inner, &rest, protect)?;
-        wrapper.edges = Some(EdgeChannels::new(graph, p_bad, p_good, f_bad, f_good)?);
-        Ok(wrapper)
+        let adversary = match &plan.adversary {
+            Some(spec) => spec.build_policy(protect)?,
+            None => None,
+        };
+        let defense = plan.defense.as_ref().map(DefenseSpec::build_policy).transpose()?;
+        Ok(FaultedProcess {
+            inner: process,
+            graph,
+            dynamics,
+            edges,
+            adversary,
+            defense,
+            applied_multiplier: 1,
+            stats: DefenseStats::default(),
+        })
     }
 
-    /// The resolved crashed set (`None` until a sampled set is drawn at the first step).
+    /// Replaces the plan's defense with a test policy.
+    #[cfg(test)]
+    #[must_use]
+    pub(crate) fn with_defense(mut self, policy: Box<dyn DefensePolicy>) -> Self {
+        self.defense = Some(policy);
+        self
+    }
+
+    /// The resolved crashed set, adversary crashes included (`None` until a sampled set is
+    /// drawn at the first step).
     pub fn crashed(&self) -> Option<&VertexBitset> {
         self.dynamics.crashed()
     }
@@ -1401,9 +1408,87 @@ impl<'g> FaultedProcess<'g> {
         self.edges.as_ref().map_or(0, EdgeChannels::num_bad)
     }
 
+    /// What the defense has spent so far this trial (all zeros without a defense).
+    pub fn stats(&self) -> DefenseStats {
+        self.stats
+    }
+
     /// The wrapped process.
     pub fn inner(&self) -> &dyn SpreadingProcess {
         self.inner.as_ref()
+    }
+
+    /// One round of the environment, composed with the faults of an outer caller: drops
+    /// are independent, crashes fold into the plan's set, and the targeted drop, severed
+    /// partition and edge bank of the environment win over the outer caller's.
+    // cobra-lint: hot
+    // cobra-lint: draws(bounded)
+    fn run_round(&mut self, mut draws: Draws<'_>, outer: &StepFaults<'_>) -> Result<()> {
+        let round = self.inner.round() as u64;
+        let graph = self.graph;
+        let mut backoff = false;
+        if let Some(policy) = self.defense.as_mut() {
+            let inner = self.inner.as_ref();
+            draws.with(DEFENSE_ENTITY, round, |rng| {
+                policy.observe(&ProcessView::new(inner, graph), rng);
+            });
+            let actions = policy.actions();
+            if !actions.reseed.is_empty() {
+                let revived =
+                    reseed_live(self.inner.as_mut(), self.dynamics.crashed(), actions.reseed);
+                if revived > 0 {
+                    self.stats.reseed_events += 1;
+                    self.stats.reseeded_vertices += revived;
+                }
+            }
+            // Re-program the multiplier whenever it changes, and re-poll the per-round
+            // cost whenever it is in force (the cost depends on the current frontier).
+            let multiplier = actions.k_multiplier.max(1);
+            if multiplier != self.applied_multiplier || multiplier > 1 {
+                let extra = self.inner.set_branching_boost(multiplier);
+                self.applied_multiplier = multiplier;
+                if multiplier > 1 {
+                    self.stats.boost_rounds += 1;
+                    self.stats.extra_transmissions += extra;
+                }
+            }
+            if actions.backoff > 0 {
+                self.stats.backoff_rounds += 1;
+                backoff = true;
+            }
+        }
+        if let Some(policy) = self.adversary.as_mut() {
+            let inner = self.inner.as_ref();
+            draws.with(ADVERSARY_ENTITY, round, |rng| {
+                policy.observe(&ProcessView::new(inner, graph), rng);
+            });
+        }
+        let own = self.adversary.as_ref().map_or(StepFaults::NONE, |policy| policy.faults());
+        let (dynamics, edges) = (&mut self.dynamics, &mut self.edges);
+        let plan_drop = draws.with(FAULT_ENTITY, round, |rng| {
+            let drop = dynamics.begin_round(rng);
+            if let Some(bank) = edges.as_mut() {
+                bank.advance(rng);
+            }
+            drop
+        });
+        dynamics.fold_crashes(own.crashed_set());
+        dynamics.fold_crashes(outer.crashed_set());
+        // A backoff mutes the process's own transmissions: a unit drop.
+        let outer_drop = if backoff { 1.0 } else { outer.drop_probability() };
+        let drop = 1.0 - (1.0 - plan_drop) * (1.0 - own.drop_probability()) * (1.0 - outer_drop);
+        let targeted = if own.targeted_set().is_some() { &own } else { outer };
+        let faults = StepFaults::new(drop, self.dynamics.crashed())
+            .with_targeted(targeted.targeted_drop_probability(), targeted.targeted_set())
+            .with_partition(own.severed_side().or(outer.severed_side()))
+            .with_edge_channels(self.edges.as_ref().or(outer.edge));
+        match draws {
+            Draws::Trial(rng) => {
+                self.inner.step_faulted(rng, &faults);
+                Ok(())
+            }
+            Draws::Streams(engine) => self.inner.step_streams(engine, &faults),
+        }
     }
 }
 
@@ -1411,43 +1496,13 @@ impl SpreadingProcess for FaultedProcess<'_> {
     // cobra-lint: hot
     // cobra-lint: draws(bounded)
     fn step_faulted(&mut self, rng: &mut dyn RngCore, outer: &StepFaults<'_>) {
-        // Compose with faults injected by an outer caller (an adversary wrapper or nested
-        // fault wrappers): drops are independent, outer crashes fold into the plan's set,
-        // and the outer's targeted drop / severed partition pass through unchanged (the
-        // plan itself never emits those shapes).
-        let own = self.dynamics.begin_round(rng, outer.crashed_set());
-        if let Some(channels) = self.edges.as_mut() {
-            channels.advance(rng);
-        }
-        let drop = 1.0 - (1.0 - own) * (1.0 - outer.drop_probability());
-        let faults = StepFaults::new(drop, self.dynamics.crashed())
-            .with_targeted(outer.targeted_drop_probability(), outer.targeted_set())
-            .with_partition(outer.severed_side())
-            .with_edge_channels(self.edges.as_ref().or(outer.edge_channels()));
-        self.inner.step_faulted(rng, &faults);
+        self.run_round(Draws::Trial(rng), outer).expect("sequential steps cannot fail");
     }
 
-    // Stream mode: the plan's own dynamics (crash resolution, repair sweeps, the
-    // Gilbert–Elliott channel) draw from the reserved FAULT_ENTITY stream at the current
-    // round, so crash evolution is identical at every thread count.
     // cobra-lint: par
     // cobra-lint: draws(bounded)
-    fn step_streams(
-        &mut self,
-        engine: &crate::parallel::ParallelFrontier,
-        outer: &StepFaults<'_>,
-    ) -> Result<()> {
-        let mut rng = engine.stream(crate::parallel::FAULT_ENTITY, self.inner.round() as u64);
-        let own = self.dynamics.begin_round(&mut rng, outer.crashed_set());
-        if let Some(channels) = self.edges.as_mut() {
-            channels.advance(&mut rng);
-        }
-        let drop = 1.0 - (1.0 - own) * (1.0 - outer.drop_probability());
-        let faults = StepFaults::new(drop, self.dynamics.crashed())
-            .with_targeted(outer.targeted_drop_probability(), outer.targeted_set())
-            .with_partition(outer.severed_side())
-            .with_edge_channels(self.edges.as_ref().or(outer.edge_channels()));
-        self.inner.step_streams(engine, &faults)
+    fn step_streams(&mut self, engine: &ParallelFrontier, outer: &StepFaults<'_>) -> Result<()> {
+        self.run_round(Draws::Streams(engine), outer)
     }
 
     fn supports_streams(&self) -> bool {
@@ -1505,9 +1560,17 @@ impl SpreadingProcess for FaultedProcess<'_> {
     fn reset(&mut self) {
         self.inner.reset();
         self.dynamics.reset();
-        if let Some(channels) = self.edges.as_mut() {
-            channels.reset();
+        if let Some(bank) = self.edges.as_mut() {
+            bank.reset();
         }
+        if let Some(policy) = self.adversary.as_mut() {
+            policy.reset();
+        }
+        if let Some(policy) = self.defense.as_mut() {
+            policy.reset();
+        }
+        self.applied_multiplier = 1;
+        self.stats = DefenseStats::default();
     }
 }
 
@@ -1884,18 +1947,18 @@ mod tests {
         let graph = generators::complete(8).unwrap();
         let spec = ProcessSpec::cobra(2).unwrap();
         let churny = FaultPlan { churn: Some(4), ..FaultPlan::default() };
-        assert!(FaultedProcess::new(spec.build(&graph).unwrap(), &churny, 0).is_err());
+        assert!(FaultedProcess::new(&spec, &churny, &graph).is_err());
         let bad =
             FaultPlan { crash: CrashSpec::Vertices { vertices: vec![99] }, ..FaultPlan::default() };
         assert!(matches!(
-            FaultedProcess::new(spec.build(&graph).unwrap(), &bad, 0),
+            FaultedProcess::new(&spec, &bad, &graph),
             Err(CoreError::VertexOutOfRange { .. })
         ));
         // A crash count larger than the crashable population is rejected, not clamped.
         let oversized = FaultPlan { crash: CrashSpec::Count { count: 8 }, ..FaultPlan::default() };
-        assert!(FaultedProcess::new(spec.build(&graph).unwrap(), &oversized, 0).is_err());
+        assert!(FaultedProcess::new(&spec, &oversized, &graph).is_err());
         let maximal = FaultPlan { crash: CrashSpec::Count { count: 7 }, ..FaultPlan::default() };
-        assert!(FaultedProcess::new(spec.build(&graph).unwrap(), &maximal, 0).is_ok());
+        assert!(FaultedProcess::new(&spec, &maximal, &graph).is_ok());
     }
 
     #[test]
@@ -1904,8 +1967,7 @@ mod tests {
         let spec = ProcessSpec::cobra(2).unwrap();
         let plan = FaultPlan { crash: CrashSpec::Percent { percent: 25.0 }, ..FaultPlan::none() };
         for seed in 0..20 {
-            let inner = spec.build(&graph).unwrap();
-            let mut faulted = FaultedProcess::new(inner, &plan, 0).unwrap();
+            let mut faulted = FaultedProcess::new(&spec, &plan, &graph).unwrap();
             let mut r = rng(seed);
             faulted.step_faulted(&mut r, &StepFaults::NONE);
             let crashed = faulted.crashed().expect("25% of 40 vertices crash");
@@ -1924,12 +1986,8 @@ mod tests {
         for seed in 0..5u64 {
             let mut bare = bare_spec.build(&graph).unwrap();
             totals[0] += run_until_complete(bare.as_mut(), &mut rng(seed), 100_000).unwrap();
-            let mut faulted = FaultedProcess::new(
-                bare_spec.build(&graph).unwrap(),
-                &FaultPlan::with_drop(0.4).unwrap(),
-                0,
-            )
-            .unwrap();
+            let plan = FaultPlan::with_drop(0.4).unwrap();
+            let mut faulted = FaultedProcess::new(&bare_spec, &plan, &graph).unwrap();
             totals[1] += run_until_complete(&mut faulted, &mut rng(seed), 100_000).unwrap();
         }
         assert!(
@@ -1959,7 +2017,7 @@ mod tests {
         for seed in 0..5u64 {
             let mut bare = spec.build(&graph).unwrap();
             totals[0] += run_until_complete(bare.as_mut(), &mut rng(seed), 100_000).unwrap();
-            let mut faulted = FaultedProcess::new(spec.build(&graph).unwrap(), &plan, 0).unwrap();
+            let mut faulted = FaultedProcess::new(&spec, &plan, &graph).unwrap();
             totals[1] += run_until_complete(&mut faulted, &mut rng(seed), 100_000).unwrap();
         }
         assert!(
@@ -2019,7 +2077,7 @@ mod tests {
             repair: Some(0.5),
             ..FaultPlan::default()
         };
-        let mut faulted = FaultedProcess::new(spec.build(&graph).unwrap(), &plan, 0).unwrap();
+        let mut faulted = FaultedProcess::new(&spec, &plan, &graph).unwrap();
         let mut r = rng(17);
         let mut counts = Vec::new();
         let mut ever_changed = false;
@@ -2049,7 +2107,7 @@ mod tests {
         let graph = generators::complete(32).unwrap();
         let spec = ProcessSpec::push();
         let plan = FaultPlan { crash: CrashSpec::Percent { percent: 25.0 }, ..FaultPlan::none() };
-        let mut faulted = FaultedProcess::new(spec.build(&graph).unwrap(), &plan, 0).unwrap();
+        let mut faulted = FaultedProcess::new(&spec, &plan, &graph).unwrap();
         let mut r = rng(3);
         faulted.step_faulted(&mut r, &StepFaults::NONE);
         let initial: Vec<usize> = faulted.crashed().unwrap().iter().collect();
@@ -2070,7 +2128,7 @@ mod tests {
             repair: Some(1.0),
             ..FaultPlan::default()
         };
-        let mut faulted = FaultedProcess::new(spec.build(&graph).unwrap(), &plan, 0).unwrap();
+        let mut faulted = FaultedProcess::new(&spec, &plan, &graph).unwrap();
         let mut r = rng(5);
         faulted.step_faulted(&mut r, &StepFaults::NONE);
         assert_eq!(faulted.crashed().unwrap().count(), 0, "repair=1 heals everything");
@@ -2080,7 +2138,7 @@ mod tests {
 
         // Sampled sets are re-drawn per trial.
         let sampled = FaultPlan { crash: CrashSpec::Count { count: 4 }, ..FaultPlan::default() };
-        let mut faulted = FaultedProcess::new(spec.build(&graph).unwrap(), &sampled, 0).unwrap();
+        let mut faulted = FaultedProcess::new(&spec, &sampled, &graph).unwrap();
         faulted.step_faulted(&mut r, &StepFaults::NONE);
         assert_eq!(faulted.crashed().unwrap().count(), 4);
         faulted.reset();
@@ -2094,7 +2152,7 @@ mod tests {
         let spec = ProcessSpec::cobra(2).unwrap();
         let plan =
             FaultPlan { crash: CrashSpec::Vertices { vertices: vec![1] }, ..FaultPlan::none() };
-        let mut faulted = FaultedProcess::new(spec.build(&graph).unwrap(), &plan, 0).unwrap();
+        let mut faulted = FaultedProcess::new(&spec, &plan, &graph).unwrap();
         let mut r = rng(3);
         assert_eq!(run_until_complete(&mut faulted, &mut r, 500), None);
         assert!(faulted.coverage().unwrap().contains(1), "the crashed vertex is visited");
@@ -2268,21 +2326,15 @@ mod tests {
     }
 
     #[test]
-    fn faulted_new_rejects_edge_scope_and_with_graph_accepts_it() {
+    fn faulted_process_builds_the_edge_bank_only_for_lossy_edge_plans() {
         let graph = generators::complete(16).unwrap();
         let spec = ProcessSpec::push();
-        let plan = edge_plan(0.1, 0.25, 0.5, 0.0);
-        let err =
-            FaultedProcess::new(spec.build(&graph).unwrap(), &plan, 0).unwrap_err().to_string();
-        assert!(err.contains("with_graph"), "must point at the graph-aware constructor: {err}");
-        let faulted =
-            FaultedProcess::with_graph(spec.build(&graph).unwrap(), &plan, 0, &graph).unwrap();
+        let faulted = FaultedProcess::new(&spec, &edge_plan(0.1, 0.25, 0.5, 0.0), &graph).unwrap();
+        assert!(faulted.edges.is_some(), "a lossy edge plan runs a bank");
         assert_eq!(faulted.num_bad_edges(), 0, "channels start good");
         // A lossless edge plan needs no bank and behaves as a benign wrapper.
-        let lossless = edge_plan(0.3, 0.7, 0.0, 0.0);
-        let benign =
-            FaultedProcess::with_graph(spec.build(&graph).unwrap(), &lossless, 0, &graph).unwrap();
-        assert_eq!(benign.num_bad_edges(), 0);
+        let benign = FaultedProcess::new(&spec, &edge_plan(0.3, 0.7, 0.0, 0.0), &graph).unwrap();
+        assert!(benign.edges.is_none());
     }
 
     #[test]
@@ -2295,8 +2347,7 @@ mod tests {
         for seed in 0..5u64 {
             let mut bare = spec.build(&graph).unwrap();
             totals[0] += run_until_complete(bare.as_mut(), &mut rng(seed), 100_000).unwrap();
-            let mut faulted =
-                FaultedProcess::with_graph(spec.build(&graph).unwrap(), &plan, 0, &graph).unwrap();
+            let mut faulted = FaultedProcess::new(&spec, &plan, &graph).unwrap();
             totals[1] += run_until_complete(&mut faulted, &mut rng(seed), 100_000).unwrap();
         }
         assert!(
@@ -2313,14 +2364,12 @@ mod tests {
         let spec = ProcessSpec::cobra(2).unwrap();
         let plan = edge_plan(0.2, 0.3, 0.6, 0.0);
         let run = |seed: u64| {
-            let mut faulted =
-                FaultedProcess::with_graph(spec.build(&graph).unwrap(), &plan, 0, &graph).unwrap();
+            let mut faulted = FaultedProcess::new(&spec, &plan, &graph).unwrap();
             run_until_complete(&mut faulted, &mut rng(seed), 100_000)
         };
         assert_eq!(run(23), run(23), "same seed, same trajectory");
         // reset() restores the bank to all-good so a rebuilt RNG replays identically.
-        let mut faulted =
-            FaultedProcess::with_graph(spec.build(&graph).unwrap(), &plan, 0, &graph).unwrap();
+        let mut faulted = FaultedProcess::new(&spec, &plan, &graph).unwrap();
         let first = run_until_complete(&mut faulted, &mut rng(23), 100_000);
         faulted.reset();
         assert_eq!(faulted.num_bad_edges(), 0, "reset restores all-good channels");

@@ -30,14 +30,16 @@
 //! * [`fault`] — the adversity layer: [`FaultPlan`]s describing message loss (i.i.d.
 //!   `drop=f` or bursty Gilbert–Elliott `gedrop=pb,pg,fb[,fg]`), crashed vertices
 //!   (permanent, or transient with `repair=r`) and edge churn, applied to any process
-//!   through the [`FaultedProcess`] wrapper (spec syntax `cobra:k=2+drop=0.1+crash=5%`)
-//!   and the churn-aware [`fault::run_churned`] / [`fault::run_churned_observed`] drivers.
+//!   through the [`FaultedProcess`] environment wrapper (spec syntax
+//!   `cobra:k=2+drop=0.1+crash=5%`), which also runs the plan's adversary and defense
+//!   policies, and the churn-aware [`fault::run_churned`] / [`fault::run_churned_observed`]
+//!   drivers.
 //! * [`adversary`] — the *adaptive* adversity layer: an [`AdversaryPolicy`] observes a
 //!   read-only [`ProcessView`] (frontier, delta, coverage, degrees) each round and emits
 //!   that round's faults — crash the highest-degree active vertices
 //!   (`adv=topdeg:budget=5%`), drop the growth front's pushes (`adv=dropfront`), sever the
-//!   tracked coverage cut (`adv=partition:w=16`), or delegate to the oblivious plan
-//!   bit-identically (`adv=oblivious`).
+//!   tracked coverage cut (`adv=partition:w=16`), or leave the plan's oblivious clauses as
+//!   the whole adversary (`adv=oblivious`, bit-identical to omitting it).
 //! * [`defense`] — the recovery mirror: a [`DefensePolicy`] observes the same read-only
 //!   view and spends recovery levers — AIMD-boost `k` on coverage stall
 //!   (`def=boostk:trigger=stall,w=8,cap=4`), re-seed the dead frontier from the coverage
@@ -138,13 +140,11 @@ pub mod theory;
 
 mod error;
 
-pub use adversary::{
-    AdversarialProcess, AdversaryBudget, AdversaryPolicy, AdversarySpec, ProcessView,
-};
+pub use adversary::{AdversaryBudget, AdversaryPolicy, AdversarySpec, ProcessView};
 pub use bips::BipsProcess;
 pub use cobra::{Branching, CobraProcess};
 pub use counting::CountingRng;
-pub use defense::{DefendedProcess, DefenseActions, DefensePolicy, DefenseSpec, DefenseStats};
+pub use defense::{DefenseActions, DefensePolicy, DefenseSpec, DefenseStats};
 pub use error::CoreError;
 pub use fault::{CrashSpec, DropModel, FaultPlan, FaultedProcess, StepFaults};
 pub use parallel::{ParallelFrontier, ParallelProcess};

@@ -26,13 +26,17 @@
 //! | `0..n`               | vertex `v` (COBRA, BIPS, PUSH, PUSH–PULL, contact); the walk |
 //! |                      | keys by its *current position*                               |
 //! | `0..w`               | walker index (multiple walks)                                |
-//! | [`FAULT_ENTITY`]     | [`FaultedProcess`](crate::FaultedProcess) plan dynamics      |
-//! | [`ADVERSARY_ENTITY`] | [`AdversarialProcess`](crate::AdversarialProcess) `observe`  |
-//! | [`DEFENSE_ENTITY`]   | [`DefendedProcess`](crate::DefendedProcess) `observe`        |
+//! | [`FAULT_ENTITY`]     | [`FaultedProcess`](crate::FaultedProcess): plan dynamics and |
+//! |                      | the per-edge channel bank                                    |
+//! | [`ADVERSARY_ENTITY`] | [`FaultedProcess`](crate::FaultedProcess): adversary         |
+//! |                      | `observe`                                                    |
+//! | [`DEFENSE_ENTITY`]   | [`FaultedProcess`](crate::FaultedProcess): defense `observe` |
 //!
 //! The reserved ids sit at the top of the `u64` space, unreachable by any vertex or walker
-//! count, so wrapper dynamics (crash sampling, Gilbert–Elliott sojourns, policy
-//! tie-breaking) stay deterministic and schedule-independent too.
+//! count, so the environment's dynamics (crash sampling, Gilbert–Elliott sojourns, policy
+//! tie-breaking) stay deterministic and schedule-independent too. Each layer of the one
+//! environment wrapper keeps its own id, so adding or removing an adversary or a defense
+//! never shifts the draws of the plan dynamics.
 //!
 //! # Equivalence contract (v2)
 //!
@@ -52,16 +56,17 @@ use crate::fault::StepFaults;
 use crate::process::SpreadingProcess;
 use crate::{CoreError, Result};
 
-/// Reserved entity id for [`FaultedProcess`](crate::FaultedProcess) plan dynamics (crash
-/// resolution, repair/re-crash sweeps, Gilbert–Elliott channel advances).
+/// Reserved entity id for the plan dynamics of a [`FaultedProcess`](crate::FaultedProcess)
+/// (crash resolution, repair/re-crash sweeps, Gilbert–Elliott channel advances, then the
+/// per-edge channel bank).
 pub const FAULT_ENTITY: u64 = u64::MAX;
 
-/// Reserved entity id for [`AdversarialProcess`](crate::AdversarialProcess) policy
-/// observation draws.
+/// Reserved entity id for the adversary policy's observation draws inside a
+/// [`FaultedProcess`](crate::FaultedProcess).
 pub const ADVERSARY_ENTITY: u64 = u64::MAX - 1;
 
-/// Reserved entity id for [`DefendedProcess`](crate::DefendedProcess) policy observation
-/// draws.
+/// Reserved entity id for the defense policy's observation draws inside a
+/// [`FaultedProcess`](crate::FaultedProcess).
 pub const DEFENSE_ENTITY: u64 = u64::MAX - 2;
 
 /// The per-trial stream engine handed to [`SpreadingProcess::step_streams`]: the trial's
@@ -279,16 +284,16 @@ impl SpreadingProcess for ParallelProcess<'_> {
     }
 }
 
-/// Builds the stream-mode process for `spec` on `graph`: the full wrapper stack from
-/// [`ProcessSpec::build`](crate::spec::ProcessSpec::build) (fault, adversary and defense
-/// layers included — each draws its dynamics from a reserved entity stream) inside a
-/// [`ParallelProcess`] whose trial key comes from `rng`.
+/// Builds the stream-mode process for `spec` on `graph`: the process from
+/// [`ProcessSpec::build`](crate::spec::ProcessSpec::build) (inside its environment wrapper,
+/// whose fault, adversary and defense layers each draw from a reserved entity stream)
+/// inside a [`ParallelProcess`] whose trial key comes from `rng`.
 ///
 /// # Errors
 ///
 /// Propagates spec build failures, rejects `threads == 0`, and rejects specs whose stack
-/// does not support stream mode (none today — all seven processes and all three wrappers
-/// implement it; the error path guards future processes).
+/// does not support stream mode (none today — all seven processes and the environment
+/// wrapper implement it; the error path guards future processes).
 // cobra-lint: draws(bounded)
 pub fn build_parallel<'g>(
     spec: &crate::spec::ProcessSpec,

@@ -49,9 +49,9 @@
 //! `bips:k=2+crash=10%+repair=0.1` (transient crashes), `bips:k=2+drop=0.1+churn=64`,
 //! `cobra:k=2+adv=topdeg:budget=5%` (a state-aware adversary policy; see
 //! [`adversary`](crate::adversary)) —
-//! described by [`FaultPlan`]: the built process is wrapped in a
-//! [`FaultedProcess`] (or routed through the adversary engine). Specs with `churn=`
-//! cannot build against a fixed graph; drive them through
+//! described by [`FaultPlan`]: the built process runs inside one [`FaultedProcess`], the
+//! per-trial environment that composes the plan's oblivious clauses, its adversary and its
+//! defense. Specs with `churn=` cannot build against a fixed graph; drive them through
 //! [`fault::run_churned`](crate::fault::run_churned).
 //!
 //! ```
@@ -330,34 +330,7 @@ impl ProcessSpec {
                 )?)
             }
             ProcessSpec::Faulted { ref inner, ref plan } => {
-                if matches!(plan.drop, crate::fault::DropModel::EdgeGilbertElliott { .. })
-                    && (plan.adversary.is_some() || plan.defense.is_some())
-                {
-                    // The adversary/defense engines run the oblivious clauses through
-                    // graph-blind PlanDynamics layers that cannot carry an edge bank.
-                    return Err(CoreError::InvalidSpec {
-                        spec: self.to_string(),
-                        reason: "gedrop=…:scope=edge cannot be combined with adv=/def= \
-                                 policies; use the global gedrop channel (no :scope=edge) \
-                                 alongside state-aware policies"
-                            .to_string(),
-                    });
-                }
-                if plan.defense.is_some() {
-                    // Defended plans wrap outermost: the defense engine builds the
-                    // adversarial/faulted interior itself.
-                    return Ok(Box::new(crate::defense::build_defended(inner, plan, graph)?));
-                }
-                if plan.adversary.is_some() {
-                    // State-aware plans route through the adversary engine, which decides
-                    // whether a FaultedProcess layer is still needed for the oblivious
-                    // clauses.
-                    return crate::adversary::build_adversarial(inner, plan, graph);
-                }
-                let process = inner.build(graph)?;
-                // `with_graph` is `new` for every plan except `scope=edge` ones, whose
-                // per-edge channel bank needs the instance's edge set.
-                Box::new(FaultedProcess::with_graph(process, plan, inner.start(), graph)?)
+                Box::new(FaultedProcess::new(inner, plan, graph)?)
             }
         })
     }
@@ -856,23 +829,20 @@ mod tests {
             }
             other => panic!("expected InvalidSpec, got {other:?}"),
         }
-        // Per-edge channels and state-aware policies are rejected at build (the policies
-        // run through engines that see only the global channel).
+        // Per-edge channels compose with state-aware policies: the environment wrapper
+        // carries the edge bank next to the adversary and the defense.
         let graph = generators::complete(8).unwrap();
         for text in [
             "cobra:k=2+gedrop=0.1,0.25,0.5:scope=edge+adv=dropfront:f=0.5",
             "cobra:k=2+gedrop=0.1,0.25,0.5:scope=edge+def=boostk",
         ] {
             let spec: ProcessSpec = text.parse().unwrap_or_else(|e| panic!("{text}: {e}"));
-            let canonical = spec.to_string();
-            match spec.build(&graph) {
-                Err(CoreError::InvalidSpec { spec: full, reason }) => {
-                    assert_eq!(full, canonical, "the error must echo the full spec");
-                    assert!(reason.contains("scope=edge"), "{reason}");
-                }
-                Err(other) => panic!("{text}: expected InvalidSpec, got {other:?}"),
-                Ok(_) => panic!("{text}: edge channels must not combine with policies"),
+            let mut process = spec.build(&graph).unwrap_or_else(|e| panic!("{text}: {e}"));
+            let mut rng = ChaCha12Rng::seed_from_u64(78);
+            for _ in 0..50 {
+                process.step(&mut rng);
             }
+            assert!(process.round() > 0, "{text} must run");
         }
         // The happy path builds and completes (monotone PUSH so completion is sure).
         let spec: ProcessSpec = "push+gedrop=0.1,0.25,0.5:scope=edge".parse().unwrap();

@@ -1,11 +1,13 @@
 //! Bit-equivalence v2: the parallel frontier engine's determinism contract.
 //!
-//! * **Thread-count invariance (exact):** for every process — and for the fault, adversary
-//!   and defense wrapper stacks — a stream-mode trajectory is *bit-identical* across
-//!   `threads = 1, 2, 3, 4, 8`: same `newly_activated` (order included), same active
-//!   counts, same coverage, every round. The streams are keyed by `(entity, round)`, never
-//!   by schedule, and contiguous shards merge in shard order, so nothing observable may
-//!   depend on the thread count.
+//! * **Thread-count invariance (exact):** for every process — and for fault, adversary
+//!   and defense stacks, per-edge channels included — a stream-mode trajectory is
+//!   *bit-identical* across `threads = 1, 2, 3, 4, 8`: same `newly_activated` (order
+//!   included), same active counts, same coverage, every round. The streams are keyed by
+//!   `(entity, round)`, never by schedule, and contiguous shards merge in shard order, so
+//!   nothing observable may depend on the thread count.
+//! * **Oblivious adversary (exact):** `+adv=oblivious` builds no policy, so it reproduces
+//!   the plain plan's stream-mode trajectory at every thread count.
 //! * **Per-stream draw accounting:** a vertex's draws are re-derivable from the trial key
 //!   alone, and a benign fault wrapper adds zero words to any vertex stream
 //!   (`CountingRng`-verified).
@@ -249,4 +251,53 @@ fn parallel_process_ignores_the_caller_rng_entirely() {
     }
     assert_eq!(counting.count(), 0, "stream mode must not consume the caller's RNG");
     let _ = counting.next_u64();
+}
+
+/// The oblivious plans of `tests/adversary_equivalence.rs`: plain loss, sampled crashes,
+/// the combination, a bursty channel, transient crash/repair dynamics and per-edge
+/// channels.
+const OBLIVIOUS_CLAUSE_SETS: [&str; 7] = [
+    "drop=0",
+    "drop=0.15",
+    "crash=10%",
+    "drop=0.1+crash=5%",
+    "gedrop=0.2,0.3,0.5",
+    "crash=10%+repair=0.2",
+    "gedrop=0.2,0.3,0.5:scope=edge",
+];
+
+#[test]
+fn oblivious_adversary_is_bit_identical_to_the_plain_plan_in_stream_mode() {
+    // `adv=oblivious` builds no policy, so the plan dynamics draw from the same reserved
+    // fault stream with or without the clause: same trajectory at every thread count.
+    let graph = expander();
+    for raw in BARE_SPECS.into_iter().chain(["contact:p=0.3,q=0.2"]) {
+        for clauses in OBLIVIOUS_CLAUSE_SETS {
+            let plain: ProcessSpec = format!("{raw}+{clauses}").parse().unwrap();
+            let oblivious: ProcessSpec = format!("{raw}+{clauses}+adv=oblivious").parse().unwrap();
+            let key = [(raw.len() + clauses.len()) as u8; 32];
+            for threads in [1, 4] {
+                assert_eq!(
+                    stream_trajectory(&plain, &graph, key, threads, 50),
+                    stream_trajectory(&oblivious, &graph, key, threads, 50),
+                    "{oblivious} diverged from {plain} at {threads} threads"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn edge_channels_under_policies_are_identical_across_thread_counts() {
+    let graph = expander();
+    let raw =
+        "cobra:k=2+gedrop=0.05,0.2,0.4:scope=edge+adv=topdeg:budget=5%+def=reseed:m=1%,cooldown=16";
+    let spec: ProcessSpec = raw.parse().unwrap();
+    let key = [raw.len() as u8; 32];
+    let base = stream_trajectory(&spec, &graph, key, 1, 60);
+    assert!(base.len() > 1, "{raw} must actually step");
+    for threads in 2..=8 {
+        let other = stream_trajectory(&spec, &graph, key, threads, 60);
+        assert_eq!(base, other, "{raw} diverged between 1 and {threads} threads");
+    }
 }

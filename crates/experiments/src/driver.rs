@@ -332,13 +332,12 @@ mod tests {
             try_run_spec_trials(&graph, &spec, &runner, &seq, "bad", TrialConfig::sequential(2))
                 .unwrap_err();
         assert!(matches!(error, CoreError::VertexOutOfRange { vertex: 99, .. }), "{error}");
-        // A clause combination rejected at build time (scope=edge with a policy layer).
-        let spec: ProcessSpec =
-            "cobra:k=2+gedrop=0.05,0.2,0.4:scope=edge+adv=topdeg:budget=5%".parse().unwrap();
+        // A plan rejected at build time (more crashes than the instance has vertices).
+        let spec: ProcessSpec = "cobra:k=2+crash=40".parse().unwrap();
         let error =
             try_run_spec_trials(&graph, &spec, &runner, &seq, "bad", TrialConfig::sequential(2))
                 .unwrap_err();
-        assert!(matches!(error, CoreError::InvalidSpec { .. }), "{error}");
+        assert!(matches!(error, CoreError::InvalidParameters { .. }), "{error}");
         // The adverse path surfaces the same class of error through churned runs.
         let family = GraphFamily::RandomRegular { n: 32, r: 4 };
         let churned: ProcessSpec = "cobra:k=2+churn=8".parse().unwrap();

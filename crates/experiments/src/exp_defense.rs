@@ -24,10 +24,9 @@
 //!    pre-inflates the frontier when growth lags the closed form) and revival needs
 //!    `reseed` — both visible in workload 1.
 
-use cobra_core::defense::build_defended;
 use cobra_core::sim::Runner;
 use cobra_core::spec::ProcessSpec;
-use cobra_core::DefenseStats;
+use cobra_core::{DefenseStats, FaultedProcess};
 use cobra_graph::generators::GraphFamily;
 use cobra_graph::Graph;
 use cobra_stats::parallel::{run_trials, TrialConfig};
@@ -140,9 +139,9 @@ fn measure_cell(
 ) -> CellOutcome {
     let outcomes: Vec<(f64, DefenseStats)> =
         run_trials(seq, label, TrialConfig::parallel(trials), |_, rng| match spec {
-            ProcessSpec::Faulted { inner, plan } if plan.defense.is_some() => {
-                let mut process = build_defended(inner, plan, graph)
-                    .unwrap_or_else(|e| panic!("invalid E11 defended spec {spec}: {e}"));
+            ProcessSpec::Faulted { inner, plan } => {
+                let mut process = FaultedProcess::new(inner, plan, graph)
+                    .unwrap_or_else(|e| panic!("invalid E11 spec {spec}: {e}"));
                 let outcome = runner.run(&mut process, rng);
                 let rounds = if outcome.completed() { outcome.rounds as f64 } else { f64::NAN };
                 (rounds, process.stats())

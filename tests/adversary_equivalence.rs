@@ -1,11 +1,10 @@
-//! The adversary engine's oblivious policy must be invisible: for every fault plan `P`,
-//! `spec+P+adv=oblivious` routes `P`'s clauses through the `AdversarialProcess` /
-//! `AdversaryPolicy` machinery instead of the plain `FaultedProcess` wrapper — and the
-//! two paths must evolve **bit for bit** identically under the same seeded RNG, for all
-//! seven processes, on expanders and tori, across drop rates, sampled crash sets,
-//! bursty channels and transient repair dynamics. Both paths share the same
-//! `PlanDynamics` internally; these property tests pin that equivalence at the public
-//! spec level so a refactor of either side cannot silently skew the E10 baselines.
+//! The oblivious adversary must be invisible: for every fault plan `P`,
+//! `spec+P+adv=oblivious` builds no adversary policy — the plan's own clauses already are
+//! the oblivious adversary — so it must evolve **bit for bit** identically to `spec+P`
+//! under the same seeded RNG, for all seven processes, on expanders and tori, across drop
+//! rates, sampled crash sets, bursty and per-edge channels and transient repair dynamics.
+//! These property tests pin that equivalence at the public spec level so a refactor of
+//! the environment wrapper cannot silently skew the E10 baselines.
 //!
 //! Zero-strength adaptive policies are held to the zero-fault standard of
 //! `tests/fault_equivalence.rs`: a `topdeg` adversary with budget 0 and a `dropfront`
@@ -14,7 +13,7 @@
 //! The defense engine is held to the same standard from the other side of the arms race:
 //! `def=passive` and never-triggered `def=boostk`/`def=reseed` policies wrap every
 //! process bit-identically and draw exactly zero extra RNG words per round — the
-//! `DefendedProcess` inert path makes no hook calls at all.
+//! environment wrapper makes no hook calls for an inert defense at all.
 
 use cobra::core::spec::ProcessSpec;
 use cobra::graph::{generators, Graph};
@@ -47,6 +46,7 @@ fn oblivious_clause_sets() -> Vec<&'static str> {
         "drop=0.1+crash=5%",
         "gedrop=0.2,0.3,0.5",
         "crash=10%+repair=0.2",
+        "gedrop=0.2,0.3,0.5:scope=edge",
     ]
 }
 
@@ -103,8 +103,8 @@ fn assert_same_evolution(
     }
 }
 
-/// For every process and every oblivious clause set: the `adv=oblivious` engine path is
-/// bit-identical to the plain `FaultedProcess` path.
+/// For every process and every oblivious clause set: the `adv=oblivious` build is
+/// bit-identical to the plain fault plan.
 fn assert_oblivious_engine_is_identity(graph: &Graph, seed: u64, rounds: usize) {
     for spec in all_specs() {
         if spec.start() >= graph.num_vertices() {
@@ -263,9 +263,9 @@ fn targeted_policies_actually_diverge_from_oblivious_baselines() {
 
 use cobra::core::CountingRng;
 
-/// Routing a plan through `adv=oblivious` consumes **exactly** the same number of RNG
-/// words per round as the plain `FaultedProcess` path — including non-benign plans, where
-/// both sides draw (the same, nonzero) per-round amounts from shared `PlanDynamics`.
+/// Adding `adv=oblivious` to a plan consumes **exactly** the same number of RNG words per
+/// round as the plain plan — including non-benign plans, where both sides draw the same,
+/// nonzero per-round amounts from the plan dynamics.
 #[test]
 fn oblivious_engine_draw_counts_match_the_plain_fault_path() {
     let mut gen_rng = ChaCha12Rng::seed_from_u64(2016);
@@ -337,7 +337,7 @@ fn zero_strength_policies_draw_exactly_zero_extra_words_per_round() {
 
 /// Inert defense policies never touch the RNG either: per round, the defended process
 /// draws exactly as many words as the bare one — `DefensePolicy::observe` is draw-free
-/// for the shipped policies and the inert `DefendedProcess` path makes no hook calls.
+/// for the shipped policies and the wrapper's inert defense path makes no hook calls.
 #[test]
 fn inert_defenses_draw_exactly_zero_extra_words_per_round() {
     let mut gen_rng = ChaCha12Rng::seed_from_u64(2016);

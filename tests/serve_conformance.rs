@@ -465,19 +465,13 @@ fn build_failures_return_structured_records_and_never_kill_workers() {
         &CoreError::VertexOutOfRange { vertex: 500, num_vertices: 32 },
     );
     assert_eq!(served, vec![expected]);
-    // A clause combination rejected at build time (per-edge channels under a policy layer).
-    let bad_combo = params(
-        "cobra:k=2+gedrop=0.05,0.2,0.4:scope=edge+adv=topdeg:budget=5%",
-        "complete:n=32",
-        3,
-        1,
-        1000,
-    );
+    // A plan rejected at build time (more crashes than the instance has vertices).
+    let bad_combo = params("cobra:k=2+crash=40", "complete:n=32", 3, 1, 1000);
     let job = submit(&mut client, &bad_combo);
     let served = stream_results(&mut client, job);
     assert_eq!(served.len(), 1, "{served:?}");
     assert_eq!(event_of(&served[0]), "job-failed", "{served:?}");
-    assert_eq!(json_str(&served[0], "code"), "invalid-spec", "{served:?}");
+    assert_eq!(json_str(&served[0], "code"), "invalid-parameters", "{served:?}");
     // A family that parses but cannot instantiate (missing edge-list file).
     let bad_graph = params("cobra:k=2", "file:path=/nonexistent/serve.edges", 1, 1, 1000);
     let job = submit(&mut client, &bad_graph);
