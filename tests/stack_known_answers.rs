@@ -1,9 +1,11 @@
-//! Known-answer pins for non-benign fault/adversary/defense stacks.
+//! Known-answer pins for every process, bare and under non-benign fault/adversary/defense
+//! stacks.
 //!
 //! The equivalence suites compare one route against another (oblivious vs plain, inert vs
-//! bare); this file pins the *absolute* trajectory of five adversity stacks over five
-//! processes on one fixed random-regular graph, in sequential mode and in stream mode
-//! (one thread, fixed trial key). Each digest hashes, per round, the round index, the
+//! bare); this file pins *absolute* trajectories on one fixed random-regular graph, in
+//! sequential mode and in stream mode (one thread, fixed trial key): five adversity stacks
+//! over five processes, and every process spec bare and under a per-edge channel bank plus
+//! crashes, which reaches the crash and edge-bank hooks of every stepping kernel. Each digest hashes, per round, the round index, the
 //! sorted delta, `num_active` and the coverage count — plus, in sequential mode, the exact
 //! number of RNG words the round drew — and finally the run's defense cost ledger.
 //!
@@ -47,6 +49,35 @@ const EXPECTED: [[(u64, u64); 5]; 5] = [
     [(0xa1252a519b0f4943, 0x4106504baf50de27), (0x17b15bec8223a9bd, 0xe1fb9ddd1059d2e3), (0x90781e1da29d6e08, 0xe336ed67e4a9ae28), (0xe3b2c597059d21c7, 0xaf2767278c2b1bee), (0x9d0024b13d4c8b64, 0x4a01f19444402d1e)],
     [(0x12753655996f9ad0, 0x7cea1a971cfea2b7), (0x6caa3568c876e040, 0xcb6922b6735d207f), (0xc4d5043f88d7afac, 0x4e1bcf1a12400e09), (0x184e5b14c011c9a9, 0x6f4c43b8abd4c999), (0xc580097a255d6229, 0x9e131c29eb2d840e)],
     [(0x18a0ee4101b11738, 0xfdb418535f5f5aaa), (0xeaca8d6f87534171, 0x41f9d14bde71b7b6), (0x9c3e377f2c151882, 0xc2e61b3e5c998fc8), (0x6cfb126b8189f24b, 0x23ae60159096e09f), (0x68a1a239d1af01c9, 0xe355725ec8b7c0e4)],
+];
+
+const PROCESS_SPECS: [&str; 9] = [
+    "cobra:k=2",
+    "cobra:rho=0.5",
+    "cobra:k=deg:cap=4",
+    "bips:k=2",
+    "walk",
+    "walks:w=6",
+    "push",
+    "pushpull",
+    "contact:p=0.8,q=0.1",
+];
+
+/// The bare process, then per-edge Gilbert–Elliott loss plus sampled crashes.
+const PROCESS_STACKS: [&str; 2] = ["", "gedrop=0.1,0.25,0.5:scope=edge+crash=5%"];
+
+/// Digests recorded per `(process spec, stack)`: `(sequential, stream)`.
+#[rustfmt::skip]
+const EXPECTED_PROCESSES: [[(u64, u64); 2]; 9] = [
+    [(0x5fc7033076011fb5, 0xaa5feee25f1bedf8), (0x031fda006444c064, 0x272bb5f0e7069796)],
+    [(0x9518f63a8ae2daee, 0x4053dda386b69d56), (0x88c2ea21b1b73163, 0x599d2b3036a3ea18)],
+    [(0x6bf40de39a5e12fd, 0x0cee23b151cd7e6b), (0x6d74a10866c88d81, 0x3728762c119c8c35)],
+    [(0x806ac943a4a46fdc, 0x3da2d52f3b43aa01), (0xeaa10d6dae30ceb0, 0x71a2e0a27d34da30)],
+    [(0x2eff7aa643e387b5, 0x16e1d6c9cbf2fd03), (0xb2577bf1bf0995af, 0x89edfd93c8c1d061)],
+    [(0x3636d9fa0a212638, 0xe396030e3a04ae94), (0xe1f06652913ec816, 0xd1789ad299d7ec97)],
+    [(0x472ed80998fdbef9, 0xac8de7f9da378834), (0x61470f687c5887d4, 0x160dd48a716c6a09)],
+    [(0xdb98774a8c860b31, 0x6f633f0361781054), (0xce37b6f07bf24e49, 0x6885a9b8a8b681e8)],
+    [(0x3111ef5494c32474, 0x894ed9d917d6772b), (0x32364d282b88e348, 0xd2c5e551a6f32845)],
 ];
 
 fn graph() -> Graph {
@@ -217,13 +248,18 @@ fn stream_trial(
     ledger.fold_into(hash);
 }
 
-#[test]
-fn adversity_stacks_reproduce_their_recorded_trajectories() {
+/// Digests of every `(process, stack)` pair; an empty stack is the bare process.
+fn observe<const P: usize, const S: usize>(
+    processes: [&'static str; P],
+    stacks: [&str; S],
+) -> [[(u64, u64); S]; P] {
     let graph = graph();
-    let mut observed = [[(0u64, 0u64); 5]; 5];
-    for (i, process) in PROCESSES.into_iter().enumerate() {
-        for (j, stack) in STACKS.into_iter().enumerate() {
-            let spec: ProcessSpec = format!("{process}+{stack}").parse().expect("stack parses");
+    let mut observed = [[(0u64, 0u64); S]; P];
+    for (i, process) in processes.into_iter().enumerate() {
+        for (j, stack) in stacks.into_iter().enumerate() {
+            let text =
+                if stack.is_empty() { process.to_string() } else { format!("{process}+{stack}") };
+            let spec: ProcessSpec = text.parse().expect("stack parses");
             let (mut sequential, mut stream) = (Fnv::new(), Fnv::new());
             for seed in 0..TRIALS {
                 sequential_trial(process, &spec, &graph, seed, &mut sequential);
@@ -232,6 +268,13 @@ fn adversity_stacks_reproduce_their_recorded_trajectories() {
             observed[i][j] = (sequential.0, stream.0);
         }
     }
+    observed
+}
+
+fn assert_digests<const P: usize, const S: usize>(
+    observed: [[(u64, u64); S]; P],
+    expected: [[(u64, u64); S]; P],
+) {
     let table: Vec<String> = observed
         .iter()
         .map(|row| {
@@ -240,5 +283,15 @@ fn adversity_stacks_reproduce_their_recorded_trajectories() {
             format!("    [{}],", cells.join(", "))
         })
         .collect();
-    assert_eq!(observed, EXPECTED, "observed digests:\n{}", table.join("\n"));
+    assert_eq!(observed, expected, "observed digests:\n{}", table.join("\n"));
+}
+
+#[test]
+fn adversity_stacks_reproduce_their_recorded_trajectories() {
+    assert_digests(observe(PROCESSES, STACKS), EXPECTED);
+}
+
+#[test]
+fn processes_reproduce_their_recorded_trajectories() {
+    assert_digests(observe(PROCESS_SPECS, PROCESS_STACKS), EXPECTED_PROCESSES);
 }
