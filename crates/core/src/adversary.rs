@@ -767,7 +767,7 @@ mod tests {
             assert!(!crashed.contains(0), "round {round}: the protected source never crashes");
             previous = count;
             let faults = policy.faults();
-            inner.step_faulted(&mut r, &faults);
+            inner.step_faulted(crate::parallel::Draws::Trial(&mut r), &faults);
         }
         assert_eq!(previous, 4, "ten rounds of a growing frontier must exhaust the budget");
     }

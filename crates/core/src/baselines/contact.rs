@@ -15,7 +15,7 @@ use cobra_graph::{Graph, VertexBitset, VertexId};
 use rand::{Rng, RngCore};
 
 use crate::fault::StepFaults;
-use crate::parallel::ParallelFrontier;
+use crate::parallel::Draws;
 use crate::process::SpreadingProcess;
 use crate::{CoreError, Result};
 
@@ -124,52 +124,135 @@ impl<'g> ContactProcess<'g> {
     }
 }
 
-impl SpreadingProcess for ContactProcess<'_> {
+/// Where a sender's infections go.
+trait Infections {
+    /// Whether infecting `v` can still change this round's outcome; a sender skips the draw
+    /// for a closed target.
+    fn is_open(&self, v: VertexId) -> bool;
+
+    /// Records that `v` is infected next round.
+    fn infect(&mut self, v: VertexId);
+}
+
+/// A stream-mode shard buffer. Every target is open: whether another sender already
+/// claimed it is cross-sender state, which would make a sender's draw count depend on the
+/// schedule. Drawing every neighbour is distribution-identical (a skipped draw is an
+/// independent Bernoulli whose outcome cannot matter) and makes each sender's draw count a
+/// pure function of its degree.
+impl Infections for Vec<VertexId> {
+    fn is_open(&self, _: VertexId) -> bool {
+        true
+    }
+
+    fn infect(&mut self, v: VertexId) {
+        self.push(v);
+    }
+}
+
+/// The live next-round state: what sequential senders write inline, and what stream mode
+/// merges its shard buffers into.
+struct NextRound<'a> {
+    next: &'a mut VertexBitset,
+    infected: &'a VertexBitset,
+    newly: &'a mut Vec<VertexId>,
+}
+
+impl Infections for NextRound<'_> {
+    fn is_open(&self, v: VertexId) -> bool {
+        !self.next.contains(v)
+    }
+
+    fn infect(&mut self, v: VertexId) {
+        // A survivor was infected this round, so it is never a new activation.
+        if self.next.insert(v) && !self.infected.contains(v) {
+            self.newly.push(v);
+        }
+    }
+}
+
+/// One round's read-only contact inputs and the per-sender kernel that both draw sources
+/// iterate.
+struct Spreader<'a> {
+    graph: &'a Graph,
+    parameters: ContactParameters,
+    /// The source when it is persistent (never recovers).
+    pinned: Option<VertexId>,
+    faults: &'a StepFaults<'a>,
+}
+
+impl Spreader<'_> {
+    /// Draws infected `u`'s transmissions, one Bernoulli per open neighbour, then its
+    /// recovery, and records the infections and `u`'s survival in `next`, in that order.
     // cobra-lint: hot
     // cobra-lint: draws(bounded)
-    fn step_faulted(&mut self, rng: &mut dyn RngCore, faults: &StepFaults<'_>) {
-        self.newly.clear();
-        // An i.i.d.-dropped transmission composes into one Bernoulli draw with the
-        // effective probability p(1-f) — per sender, so a targeted (frontier) drop lowers
-        // only the targeted senders' rate; with no faults the stream is untouched.
-        let transmit = self.parameters.infection_probability;
-        // The frontier is ascending, so transmission/recovery draws happen in the dense
-        // engine's vertex order and the RNG streams stay identical.
-        for &u in &self.frontier {
-            // A crashed vertex stays ill without infecting anyone (recovery still applies).
-            if !faults.is_crashed(u) {
-                let transmit = transmit * (1.0 - faults.sender_drop(u));
-                for v in self.graph.neighbor_iter(u) {
-                    // Per-edge channel loss folds into the per-neighbour Bernoulli too
-                    // (the edge identity is known here); 1 - 0 with no bank active.
-                    let transmit = transmit * (1.0 - faults.edge_drop_probability(u, v));
-                    if !self.next_infected.contains(v)
-                        && !faults.severs(u, v)
-                        && transmit > 0.0
-                        && rng.gen_bool(transmit)
-                    {
-                        self.next_infected.insert(v);
-                        if !self.infected.contains(v) {
-                            self.newly.push(v);
-                        }
-                    }
+    #[inline]
+    fn spread<R: RngCore + ?Sized>(&self, u: VertexId, rng: &mut R, next: &mut impl Infections) {
+        // A crashed vertex stays ill without infecting anyone (recovery still applies).
+        if !self.faults.is_crashed(u) {
+            // An i.i.d.-dropped transmission composes into one Bernoulli draw with the
+            // effective probability p(1-f) — per sender, so a targeted (frontier) drop
+            // lowers only the targeted senders' rate; with no faults the stream is untouched.
+            let transmit =
+                self.parameters.infection_probability * (1.0 - self.faults.sender_drop(u));
+            for v in self.graph.neighbor_iter(u) {
+                // Per-edge channel loss folds into the per-neighbour Bernoulli too (the edge
+                // identity is known here); 1 - 0 with no bank active.
+                let transmit = transmit * (1.0 - self.faults.edge_drop_probability(u, v));
+                if next.is_open(v)
+                    && !self.faults.severs(u, v)
+                    && transmit > 0.0
+                    && rng.gen_bool(transmit)
+                {
+                    next.infect(v);
                 }
             }
-            // Recovery (skipped for the persistent source).
-            let recovers = (!self.persistent_source || u != self.source)
-                && self.parameters.recovery_probability > 0.0
-                && rng.gen_bool(self.parameters.recovery_probability);
-            if !recovers {
-                // `u` was infected this round, so surviving is never a new activation.
-                self.next_infected.insert(u);
+        }
+        let recovery = self.parameters.recovery_probability;
+        let recovers = self.pinned != Some(u) && recovery > 0.0 && rng.gen_bool(recovery);
+        if !recovers {
+            next.infect(u);
+        }
+    }
+}
+
+impl SpreadingProcess for ContactProcess<'_> {
+    // cobra-lint: hot
+    // cobra-lint: par
+    // cobra-lint: draws(bounded)
+    fn step_faulted(&mut self, draws: Draws<'_>, faults: &StepFaults<'_>) {
+        self.newly.clear();
+        let pinned = self.persistent_source.then_some(self.source);
+        let spreader = Spreader { graph: self.graph, parameters: self.parameters, pinned, faults };
+        let mut next = NextRound {
+            next: &mut self.next_infected,
+            infected: &self.infected,
+            newly: &mut self.newly,
+        };
+        match draws {
+            // The frontier is ascending, so transmission/recovery draws happen in the dense
+            // engine's vertex order and the RNG streams stay identical.
+            Draws::Trial(rng) => {
+                for &u in &self.frontier {
+                    spreader.spread(u, rng, &mut next);
+                }
+            }
+            // Sender `u` draws from its own `(vertex, round)` stream. Each shard records
+            // its inserts in sequential-scan order, so the shard-order merge reproduces one
+            // fixed insertion order at every thread count.
+            Draws::Streams(engine) => {
+                let (frontier, round) = (&self.frontier, self.round as u64);
+                let shards = engine.shard_buffers(frontier.len(), |range, inserts| {
+                    for &u in &frontier[range] {
+                        spreader.spread(u, &mut engine.stream(u as u64, round), inserts);
+                    }
+                });
+                shards.into_iter().flatten().for_each(|v| next.infect(v));
             }
         }
-        if self.persistent_source && self.next_infected.insert(self.source) {
-            // Unreachable when the source started infected, but kept for state safety: a
+        if let Some(source) = pinned {
+            // A no-op when the source started infected, but kept for state safety: a
             // re-pinned source that was healthy this round is a genuine activation.
-            if !self.infected.contains(self.source) {
-                self.newly.push(self.source);
-            }
+            next.infect(source);
         }
         // Erase A_t through its own member list, swap, re-materialise the frontier.
         self.infected.clear_list(&self.frontier);
@@ -177,71 +260,6 @@ impl SpreadingProcess for ContactProcess<'_> {
         self.frontier.clear();
         self.infected.collect_into(&mut self.frontier);
         self.round += 1;
-    }
-
-    // Stream mode: sender `u` draws one Bernoulli per neighbour plus its recovery from its
-    // own `(vertex, round)` stream. The sequential engine's `next_infected.contains`
-    // short-circuit (skipping draws for already-claimed targets) is deliberately absent —
-    // it reads cross-sender state mid-round, which would make draw counts depend on the
-    // schedule. Drawing every neighbour independently is distribution-identical (the
-    // skipped draws were independent Bernoullis whose outcome could not matter) and makes
-    // each sender's draw count a pure function of its degree.
-    // cobra-lint: par
-    // cobra-lint: draws(bounded)
-    fn step_streams(&mut self, engine: &ParallelFrontier, faults: &StepFaults<'_>) -> Result<()> {
-        self.newly.clear();
-        let transmit = self.parameters.infection_probability;
-        let recovery = self.parameters.recovery_probability;
-        let graph = self.graph;
-        let source = self.source;
-        let persistent_source = self.persistent_source;
-        let round = self.round as u64;
-        let streams = engine.streams();
-        // Each shard emits its inserts in sequential-scan order (per sender: infected
-        // neighbours, then the sender's own survival), so the shard-order merge reproduces
-        // one fixed insertion order at every thread count.
-        let shards = engine.fan_out(&self.frontier, |_, chunk| {
-            let mut inserts: Vec<VertexId> = Vec::new();
-            for &u in chunk {
-                let mut rng = streams.stream(u as u64, round);
-                if !faults.is_crashed(u) {
-                    let transmit = transmit * (1.0 - faults.sender_drop(u));
-                    for v in graph.neighbor_iter(u) {
-                        let transmit = transmit * (1.0 - faults.edge_drop_probability(u, v));
-                        if !faults.severs(u, v) && transmit > 0.0 && rng.gen_bool(transmit) {
-                            inserts.push(v);
-                        }
-                    }
-                }
-                let recovers =
-                    (!persistent_source || u != source) && recovery > 0.0 && rng.gen_bool(recovery);
-                if !recovers {
-                    inserts.push(u);
-                }
-            }
-            inserts
-        });
-        for w in shards.into_iter().flatten() {
-            if self.next_infected.insert(w) && !self.infected.contains(w) {
-                self.newly.push(w);
-            }
-        }
-        if self.persistent_source
-            && self.next_infected.insert(self.source)
-            && !self.infected.contains(self.source)
-        {
-            self.newly.push(self.source);
-        }
-        self.infected.clear_list(&self.frontier);
-        std::mem::swap(&mut self.infected, &mut self.next_infected);
-        self.frontier.clear();
-        self.infected.collect_into(&mut self.frontier);
-        self.round += 1;
-        Ok(())
-    }
-
-    fn supports_streams(&self) -> bool {
-        true
     }
 
     fn round(&self) -> usize {

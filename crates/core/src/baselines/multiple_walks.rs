@@ -4,7 +4,7 @@ use cobra_graph::{Graph, VertexBitset, VertexId};
 use rand::RngCore;
 
 use crate::fault::StepFaults;
-use crate::parallel::ParallelFrontier;
+use crate::parallel::Draws;
 use crate::process::SpreadingProcess;
 use crate::{CoreError, Result};
 
@@ -97,28 +97,47 @@ impl<'g> MultipleRandomWalks<'g> {
     }
 }
 
-impl SpreadingProcess for MultipleRandomWalks<'_> {
+/// One round's read-only walk inputs and the per-walker kernel that both draw sources
+/// iterate.
+struct Walker<'a> {
+    graph: &'a Graph,
+    faults: &'a StepFaults<'a>,
+}
+
+impl Walker<'_> {
+    /// Where a walker standing on `from` lands this round. A walker on a crashed vertex is
+    /// stuck; a dropped move stays in place; a severed cut (or a bad per-edge channel on
+    /// the chosen link) blocks the traversal after the target draw.
     // cobra-lint: hot
     // cobra-lint: draws(bounded)
-    fn step_faulted(&mut self, rng: &mut dyn RngCore, faults: &StepFaults<'_>) {
+    #[inline]
+    fn land<R: RngCore + ?Sized>(&self, from: VertexId, rng: &mut R) -> VertexId {
+        if self.faults.is_crashed(from) || self.faults.drops_from(rng, from) {
+            return from;
+        }
+        match self.graph.sample_neighbor(from, rng) {
+            Some(next)
+                if !self.faults.severs(from, next)
+                    && !self.faults.drops_on_edge(rng, from, next) =>
+            {
+                next
+            }
+            _ => from,
+        }
+    }
+}
+
+impl SpreadingProcess for MultipleRandomWalks<'_> {
+    // cobra-lint: hot
+    // cobra-lint: par
+    // cobra-lint: draws(bounded)
+    fn step_faulted(&mut self, draws: Draws<'_>, faults: &StepFaults<'_>) {
         // Erase the two-rounds-old occupancy through its dirty list.
         self.next_active.clear_list(&self.next_list);
         self.next_list.clear();
         self.newly.clear();
-        for i in 0..self.positions.len() {
-            // A walker on a crashed vertex is stuck; a dropped move stays in place; a
-            // severed cut (or a bad per-edge channel on the chosen link) blocks the
-            // traversal after the target draw.
-            if !faults.is_crashed(self.positions[i]) && !faults.drops_from(rng, self.positions[i]) {
-                if let Some(next) = self.graph.sample_neighbor(self.positions[i], rng) {
-                    if !faults.severs(self.positions[i], next)
-                        && !faults.drops_on_edge(rng, self.positions[i], next)
-                    {
-                        self.positions[i] = next;
-                    }
-                }
-            }
-            let p = self.positions[i];
+        let walker = Walker { graph: self.graph, faults };
+        let mut occupy = |p: VertexId| {
             if self.next_active.insert(p) {
                 self.next_list.push(p);
                 if !self.active.contains(p) {
@@ -128,62 +147,35 @@ impl SpreadingProcess for MultipleRandomWalks<'_> {
                     self.num_visited += 1;
                 }
             }
-        }
-        std::mem::swap(&mut self.active, &mut self.next_active);
-        std::mem::swap(&mut self.active_list, &mut self.next_list);
-        self.round += 1;
-    }
-
-    // Stream mode: walker `i` owns the entity id `i` (keying by *position* would weld
-    // co-located walkers together — they would share every draw and never separate), so
-    // the position vector shards cleanly and merges back in walker order.
-    // cobra-lint: par
-    // cobra-lint: draws(bounded)
-    fn step_streams(&mut self, engine: &ParallelFrontier, faults: &StepFaults<'_>) -> Result<()> {
-        self.next_active.clear_list(&self.next_list);
-        self.next_list.clear();
-        self.newly.clear();
-        let graph = self.graph;
-        let round = self.round as u64;
-        let streams = engine.streams();
-        let shards = engine.fan_out(&self.positions, |base, chunk| {
-            let mut moved: Vec<VertexId> = Vec::with_capacity(chunk.len());
-            for (offset, &position) in chunk.iter().enumerate() {
-                let mut rng = streams.stream((base + offset) as u64, round);
-                let mut landed = position;
-                if !faults.is_crashed(position) && !faults.drops_from(&mut rng, position) {
-                    if let Some(next) = graph.sample_neighbor(position, &mut rng) {
-                        if !faults.severs(position, next)
-                            && !faults.drops_on_edge(&mut rng, position, next)
-                        {
-                            landed = next;
-                        }
+        };
+        match draws {
+            Draws::Trial(rng) => {
+                for position in &mut self.positions {
+                    *position = walker.land(*position, rng);
+                    occupy(*position);
+                }
+            }
+            // Walker `i` owns the entity id `i` (keying by *position* would weld co-located
+            // walkers together — they would share every draw and never separate), so the
+            // position vector shards cleanly and merges back in walker order.
+            Draws::Streams(engine) => {
+                let (positions, round) = (&self.positions, self.round as u64);
+                let shards = engine.shard_buffers(positions.len(), |range, landed| {
+                    for i in range {
+                        landed.push(walker.land(positions[i], &mut engine.stream(i as u64, round)));
                     }
-                }
-                moved.push(landed);
-            }
-            moved
-        });
-        for (walker, landed) in shards.into_iter().flatten().enumerate() {
-            self.positions[walker] = landed;
-            if self.next_active.insert(landed) {
-                self.next_list.push(landed);
-                if !self.active.contains(landed) {
-                    self.newly.push(landed);
-                }
-                if self.visited.insert(landed) {
-                    self.num_visited += 1;
+                });
+                for (position, landed) in
+                    self.positions.iter_mut().zip(shards.into_iter().flatten())
+                {
+                    *position = landed;
+                    occupy(landed);
                 }
             }
         }
         std::mem::swap(&mut self.active, &mut self.next_active);
         std::mem::swap(&mut self.active_list, &mut self.next_list);
         self.round += 1;
-        Ok(())
-    }
-
-    fn supports_streams(&self) -> bool {
-        true
     }
 
     fn round(&self) -> usize {

@@ -17,7 +17,7 @@ use cobra_graph::{sample, Graph, VertexBitset, VertexId};
 use rand::RngCore;
 
 use crate::fault::StepFaults;
-use crate::parallel::ParallelFrontier;
+use crate::parallel::Draws;
 use crate::process::SpreadingProcess;
 use crate::{CoreError, Result};
 
@@ -86,99 +86,87 @@ impl<'g> PushProcess<'g> {
     }
 }
 
-impl SpreadingProcess for PushProcess<'_> {
+/// One round's read-only PUSH inputs and the per-sender kernel that both draw sources
+/// iterate.
+struct Pusher<'a> {
+    graph: &'a Graph,
+    faults: &'a StepFaults<'a>,
+}
+
+impl Pusher<'_> {
+    /// Whether `u` sends this round. A crashed vertex knows the rumour but never sends it,
+    /// and an isolated one has nobody to send to; neither draws.
+    #[inline]
+    fn sends(&self, u: VertexId) -> bool {
+        !self.faults.is_crashed(u) && self.graph.degree(u) > 0
+    }
+
+    /// Sends the message of a sending `u` and returns its target, or `None` when the
+    /// (sent and counted) message is lost.
     // cobra-lint: hot
     // cobra-lint: draws(bounded)
-    fn step_faulted(&mut self, rng: &mut dyn RngCore, faults: &StepFaults<'_>) {
+    #[inline]
+    fn send<R: RngCore + ?Sized>(&self, u: VertexId, rng: &mut R) -> Option<VertexId> {
+        if self.faults.drops_from(rng, u) {
+            return None;
+        }
+        let target = *sample::sample_slice(self.graph.neighbors(u), rng)
+            .expect("neighbour slice is non-empty");
+        // A severed cut blocks the message after the target draw; a per-edge channel may
+        // then lose it on the chosen link.
+        if self.faults.severs(u, target) || self.faults.drops_on_edge(rng, u, target) {
+            return None;
+        }
+        Some(target)
+    }
+}
+
+impl SpreadingProcess for PushProcess<'_> {
+    // cobra-lint: hot
+    // cobra-lint: par
+    // cobra-lint: draws(bounded)
+    fn step_faulted(&mut self, draws: Draws<'_>, faults: &StepFaults<'_>) {
         self.newly.clear();
+        let pusher = Pusher { graph: self.graph, faults };
         // The informed set is monotone, so targets can be marked immediately: no push
         // decision in this round depends on the informed state, and marking eagerly
         // deduplicates `newly` for free (the dense engine's deferred application with its
         // double `!informed` check produces the identical set).
-        for &u in &self.informed_list {
-            // A crashed vertex knows the rumour but never sends it.
-            if faults.is_crashed(u) {
-                continue;
-            }
-            let neighbors = self.graph.neighbors(u);
-            if neighbors.is_empty() {
-                continue;
-            }
+        let mut deliver = |message: Option<VertexId>| {
             self.messages_sent += 1;
-            // The message is sent (and counted) but lost in flight.
-            if faults.drops_from(rng, u) {
-                continue;
-            }
-            let target =
-                *sample::sample_slice(neighbors, rng).expect("neighbour slice is non-empty");
-            // A severed cut blocks the (sent and counted) message after the target draw;
-            // a per-edge channel may then lose it on the chosen link.
-            if faults.severs(u, target) || faults.drops_on_edge(rng, u, target) {
-                continue;
-            }
-            if self.informed.insert(target) {
-                self.newly.push(target);
-            }
-        }
-        if !self.newly.is_empty() {
-            self.informed_list.clear();
-            self.informed.collect_into(&mut self.informed_list);
-        }
-        self.round += 1;
-    }
-
-    // Stream mode: each informed sender's drop and target draws come from its own
-    // `(vertex, round)` stream; shard merges preserve sender-ascending order.
-    // cobra-lint: par
-    // cobra-lint: draws(bounded)
-    fn step_streams(&mut self, engine: &ParallelFrontier, faults: &StepFaults<'_>) -> Result<()> {
-        self.newly.clear();
-        let graph = self.graph;
-        let round = self.round as u64;
-        let streams = engine.streams();
-        let shards = engine.fan_out(&self.informed_list, |_, chunk| {
-            let mut targets: Vec<VertexId> = Vec::new();
-            let mut messages = 0u64;
-            for &u in chunk {
-                if faults.is_crashed(u) {
-                    continue;
-                }
-                let neighbors = graph.neighbors(u);
-                if neighbors.is_empty() {
-                    continue;
-                }
-                messages += 1;
-                let mut rng = streams.stream(u as u64, round);
-                if faults.drops_from(&mut rng, u) {
-                    continue;
-                }
-                let target = *sample::sample_slice(neighbors, &mut rng)
-                    .expect("neighbour slice is non-empty");
-                if faults.severs(u, target) || faults.drops_on_edge(&mut rng, u, target) {
-                    continue;
-                }
-                targets.push(target);
-            }
-            (targets, messages)
-        });
-        for (targets, messages) in shards {
-            self.messages_sent += messages;
-            for target in targets {
+            if let Some(target) = message {
                 if self.informed.insert(target) {
                     self.newly.push(target);
                 }
             }
+        };
+        match draws {
+            Draws::Trial(rng) => {
+                for &u in &self.informed_list {
+                    if pusher.sends(u) {
+                        deliver(pusher.send(u, rng));
+                    }
+                }
+            }
+            // Each sender draws from its own `(vertex, round)` stream; shard merges
+            // preserve sender-ascending order.
+            Draws::Streams(engine) => {
+                let (informed, round) = (&self.informed_list, self.round as u64);
+                let shards = engine.shard_buffers(informed.len(), |range, messages| {
+                    for &u in &informed[range] {
+                        if pusher.sends(u) {
+                            messages.push(pusher.send(u, &mut engine.stream(u as u64, round)));
+                        }
+                    }
+                });
+                shards.into_iter().flatten().for_each(deliver);
+            }
         }
         if !self.newly.is_empty() {
             self.informed_list.clear();
             self.informed.collect_into(&mut self.informed_list);
         }
         self.round += 1;
-        Ok(())
-    }
-
-    fn supports_streams(&self) -> bool {
-        true
     }
 
     fn round(&self) -> usize {
@@ -299,41 +287,82 @@ impl<'g> PushPullProcess<'g> {
     }
 }
 
-impl SpreadingProcess for PushPullProcess<'_> {
+/// One round's read-only PUSH–PULL inputs and the per-vertex kernel that both draw
+/// sources iterate.
+struct Caller<'a> {
+    graph: &'a Graph,
+    informed: &'a VertexBitset,
+    faults: &'a StepFaults<'a>,
+}
+
+impl Caller<'_> {
+    /// Whether `u` calls a partner this round (every vertex with a neighbour does).
+    #[inline]
+    fn calls(&self, u: VertexId) -> bool {
+        self.graph.degree(u) > 0
+    }
+
+    /// Places the call of a calling `u` and returns the vertex it informs, if any: `u`'s
+    /// partner when `u` pushes, `u` itself when it pulls. `u` initiates both directions,
+    /// so the partner draw and either direction's drop draw come from `u`'s RNG.
     // cobra-lint: hot
     // cobra-lint: draws(bounded)
-    fn step_faulted(&mut self, rng: &mut dyn RngCore, faults: &StepFaults<'_>) {
+    #[inline]
+    fn call<R: RngCore + ?Sized>(&self, u: VertexId, rng: &mut R) -> Option<VertexId> {
+        let partner = *sample::sample_slice(self.graph.neighbors(u), rng)
+            .expect("neighbour slice is non-empty");
+        // Crash disables transmission only: a crashed vertex neither pushes the rumour
+        // nor answers a pull, but it can still receive and still request. A severed
+        // cut blocks the contact in both directions before any drop draw.
+        let (from, to) = match (self.informed.contains(u), self.informed.contains(partner)) {
+            (true, false) => (u, partner),
+            (false, true) => (partner, u),
+            _ => return None,
+        };
+        let delivered = !self.faults.is_crashed(from)
+            && !self.faults.severs(from, to)
+            && !self.faults.drops_from(rng, from)
+            && !self.faults.drops_on_edge(rng, from, to);
+        delivered.then_some(to)
+    }
+}
+
+impl SpreadingProcess for PushPullProcess<'_> {
+    // cobra-lint: hot
+    // cobra-lint: par
+    // cobra-lint: draws(bounded)
+    fn step_faulted(&mut self, draws: Draws<'_>, faults: &StepFaults<'_>) {
         let n = self.graph.num_vertices();
         // Every vertex contacts a partner based on the *start-of-round* informed state, so
-        // application must be deferred — collect candidates first, then mark.
+        // application must be deferred — collect contacts first, then mark.
         self.contacts.clear();
-        for u in 0..n {
-            let neighbors = self.graph.neighbors(u);
-            if neighbors.is_empty() {
-                continue;
-            }
+        let caller = Caller { graph: self.graph, informed: &self.informed, faults };
+        let mut record = |contact: Option<VertexId>| {
             self.messages_sent += 1;
-            let partner =
-                *sample::sample_slice(neighbors, rng).expect("neighbour slice is non-empty");
-            // Crash disables transmission only: a crashed vertex neither pushes the rumour
-            // nor answers a pull, but it can still receive and still request. A severed
-            // cut blocks the contact in both directions before any drop draw.
-            if self.informed.contains(u) && !self.informed.contains(partner) {
-                if !faults.is_crashed(u)
-                    && !faults.severs(u, partner)
-                    && !faults.drops_from(rng, u)
-                    && !faults.drops_on_edge(rng, u, partner)
-                {
-                    self.contacts.push(partner);
+            if let Some(v) = contact {
+                self.contacts.push(v);
+            }
+        };
+        match draws {
+            Draws::Trial(rng) => {
+                for u in 0..n {
+                    if caller.calls(u) {
+                        record(caller.call(u, rng));
+                    }
                 }
-            } else if !self.informed.contains(u)
-                && self.informed.contains(partner)
-                && !faults.is_crashed(partner)
-                && !faults.severs(partner, u)
-                && !faults.drops_from(rng, partner)
-                && !faults.drops_on_edge(rng, partner, u)
-            {
-                self.contacts.push(u);
+            }
+            // Each caller draws from its own `(vertex, round)` stream; shard merges keep
+            // the contacts in caller order.
+            Draws::Streams(engine) => {
+                let round = self.round as u64;
+                let shards = engine.shard_buffers(n, |range, contacts| {
+                    for u in range {
+                        if caller.calls(u) {
+                            contacts.push(caller.call(u, &mut engine.stream(u as u64, round)));
+                        }
+                    }
+                });
+                shards.into_iter().flatten().for_each(record);
             }
         }
         self.newly.clear();
@@ -347,71 +376,6 @@ impl SpreadingProcess for PushPullProcess<'_> {
             self.informed.collect_into(&mut self.informed_list);
         }
         self.round += 1;
-    }
-
-    // Stream mode: vertex `u` initiates both its push and its pull request, so its partner
-    // draw and the drop draw of either direction come from `u`'s `(vertex, round)` stream;
-    // the deferred contact application keeps the start-of-round semantics.
-    // cobra-lint: par
-    // cobra-lint: draws(bounded)
-    fn step_streams(&mut self, engine: &ParallelFrontier, faults: &StepFaults<'_>) -> Result<()> {
-        let n = self.graph.num_vertices();
-        self.contacts.clear();
-        let graph = self.graph;
-        let round = self.round as u64;
-        let streams = engine.streams();
-        let informed = &self.informed;
-        let shards = engine.fan_out_ranges(n, |range| {
-            let mut contacts: Vec<VertexId> = Vec::new();
-            let mut messages = 0u64;
-            for u in range {
-                let neighbors = graph.neighbors(u);
-                if neighbors.is_empty() {
-                    continue;
-                }
-                messages += 1;
-                let mut rng = streams.stream(u as u64, round);
-                let partner = *sample::sample_slice(neighbors, &mut rng)
-                    .expect("neighbour slice is non-empty");
-                if informed.contains(u) && !informed.contains(partner) {
-                    if !faults.is_crashed(u)
-                        && !faults.severs(u, partner)
-                        && !faults.drops_from(&mut rng, u)
-                        && !faults.drops_on_edge(&mut rng, u, partner)
-                    {
-                        contacts.push(partner);
-                    }
-                } else if !informed.contains(u)
-                    && informed.contains(partner)
-                    && !faults.is_crashed(partner)
-                    && !faults.severs(partner, u)
-                    && !faults.drops_from(&mut rng, partner)
-                    && !faults.drops_on_edge(&mut rng, partner, u)
-                {
-                    contacts.push(u);
-                }
-            }
-            (contacts, messages)
-        });
-        self.newly.clear();
-        for (contacts, messages) in shards {
-            self.messages_sent += messages;
-            for v in contacts {
-                if self.informed.insert(v) {
-                    self.newly.push(v);
-                }
-            }
-        }
-        if !self.newly.is_empty() {
-            self.informed_list.clear();
-            self.informed.collect_into(&mut self.informed_list);
-        }
-        self.round += 1;
-        Ok(())
-    }
-
-    fn supports_streams(&self) -> bool {
-        true
     }
 
     fn round(&self) -> usize {

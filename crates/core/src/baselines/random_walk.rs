@@ -4,7 +4,7 @@ use cobra_graph::{Graph, VertexBitset, VertexId};
 use rand::RngCore;
 
 use crate::fault::StepFaults;
-use crate::parallel::ParallelFrontier;
+use crate::parallel::Draws;
 use crate::process::SpreadingProcess;
 use crate::{CoreError, Result};
 
@@ -74,67 +74,50 @@ impl<'g> RandomWalk<'g> {
     }
 }
 
-impl SpreadingProcess for RandomWalk<'_> {
+impl RandomWalk<'_> {
+    /// Where the walker moves this round, or `None` when it stays put. A crashed vertex
+    /// never relays, so a walker standing on one is stuck there forever; a dropped move
+    /// message leaves the token in place for this round.
     // cobra-lint: hot
     // cobra-lint: draws(bounded)
-    fn step_faulted(&mut self, rng: &mut dyn RngCore, faults: &StepFaults<'_>) {
-        self.newly.clear();
-        // A crashed vertex never relays: a walker standing on one is stuck there forever.
-        // A dropped move message leaves the token in place for this round.
-        if faults.is_crashed(self.position) || faults.drops_from(rng, self.position) {
-            self.round += 1;
-            return;
+    fn hop<R: RngCore + ?Sized>(&self, faults: &StepFaults<'_>, rng: &mut R) -> Option<VertexId> {
+        let from = self.position;
+        if faults.is_crashed(from) || faults.drops_from(rng, from) {
+            return None;
         }
-        if let Some(next) = self.graph.sample_neighbor(self.position, rng) {
-            // A severed cut blocks the traversal (the target draw is already consumed), as
-            // does a bad per-edge channel on the chosen link; otherwise the walker always
-            // moves — simple graphs have no self-loops.
-            if !faults.severs(self.position, next)
-                && !faults.drops_on_edge(rng, self.position, next)
-            {
-                self.active.remove(self.position);
-                self.position = next;
-                self.active.insert(next);
-                self.newly.push(next);
-                if self.visited.insert(next) {
-                    self.num_visited += 1;
-                }
-            }
-        }
-        self.round += 1;
+        // A severed cut blocks the traversal (the target draw is already consumed), as does
+        // a bad per-edge channel on the chosen link; otherwise the walker always moves —
+        // simple graphs have no self-loops.
+        let next = self.graph.sample_neighbor(from, rng)?;
+        (!faults.severs(from, next) && !faults.drops_on_edge(rng, from, next)).then_some(next)
     }
+}
 
-    // Stream mode: a single walker has nothing to shard — it simply draws from the stream
-    // of its *current position* at this round, so the trajectory is a pure function of the
-    // trial key and the walk composes with the sharded processes under one contract.
+impl SpreadingProcess for RandomWalk<'_> {
+    // cobra-lint: hot
     // cobra-lint: par
     // cobra-lint: draws(bounded)
-    fn step_streams(&mut self, engine: &ParallelFrontier, faults: &StepFaults<'_>) -> Result<()> {
+    fn step_faulted(&mut self, draws: Draws<'_>, faults: &StepFaults<'_>) {
         self.newly.clear();
-        let mut rng = engine.stream(self.position as u64, self.round as u64);
-        if faults.is_crashed(self.position) || faults.drops_from(&mut rng, self.position) {
-            self.round += 1;
-            return Ok(());
-        }
-        if let Some(next) = self.graph.sample_neighbor(self.position, &mut rng) {
-            if !faults.severs(self.position, next)
-                && !faults.drops_on_edge(&mut rng, self.position, next)
-            {
-                self.active.remove(self.position);
-                self.position = next;
-                self.active.insert(next);
-                self.newly.push(next);
-                if self.visited.insert(next) {
-                    self.num_visited += 1;
-                }
+        let hop = match draws {
+            Draws::Trial(rng) => self.hop(faults, rng),
+            // A single walker has nothing to shard: it draws from the stream of its
+            // *current position* at this round, so the trajectory is a pure function of the
+            // trial key and the walk composes with the sharded processes under one contract.
+            Draws::Streams(engine) => {
+                self.hop(faults, &mut engine.stream(self.position as u64, self.round as u64))
+            }
+        };
+        if let Some(next) = hop {
+            self.active.remove(self.position);
+            self.position = next;
+            self.active.insert(next);
+            self.newly.push(next);
+            if self.visited.insert(next) {
+                self.num_visited += 1;
             }
         }
         self.round += 1;
-        Ok(())
-    }
-
-    fn supports_streams(&self) -> bool {
-        true
     }
 
     fn round(&self) -> usize {

@@ -28,7 +28,7 @@ use rand::RngCore;
 
 use crate::cobra::Branching;
 use crate::fault::StepFaults;
-use crate::parallel::ParallelFrontier;
+use crate::parallel::Draws;
 use crate::process::SpreadingProcess;
 use crate::{CoreError, Result};
 
@@ -162,110 +162,73 @@ impl<'g> BipsProcess<'g> {
     }
 }
 
-impl SpreadingProcess for BipsProcess<'_> {
+/// One round's read-only pull inputs and the per-vertex kernel that both draw sources
+/// iterate.
+struct Puller<'a> {
+    graph: &'a Graph,
+    source: VertexId,
+    branching: Branching,
+    boost: u32,
+    infected: &'a VertexBitset,
+    faults: &'a StepFaults<'a>,
+}
+
+impl Puller<'_> {
+    /// Whether `u` is infected next round: the source always is, and any other vertex
+    /// probes its `k` samples until one reaches a relaying infected neighbour. The source
+    /// and isolated vertices draw nothing.
     // cobra-lint: hot
     // cobra-lint: draws(bounded)
-    fn step_faulted(&mut self, rng: &mut dyn RngCore, faults: &StepFaults<'_>) {
+    #[inline]
+    fn infects<R: RngCore + ?Sized>(&self, u: VertexId, rng: &mut R) -> bool {
+        if u == self.source {
+            return true;
+        }
+        let neighbors = self.graph.neighbors(u);
+        if neighbors.is_empty() {
+            return false;
+        }
+        // `boost` is 1 unless a defense raised it, so the inert path is exactly the
+        // original draw arithmetic (Fixed k consumes zero words either way).
+        let samples = self.branching.sample_pushes(rng) * self.boost;
+        for _ in 0..samples {
+            let w = *sample::sample_slice(neighbors, rng).expect("neighbour slice non-empty");
+            // A crashed vertex never relays: its infection is invisible to samplers.
+            // A severed cut blocks the sampled edge deterministically, and the drop
+            // draw only happens for a would-be-successful transmission (sender `w`).
+            if self.infected.contains(w)
+                && !self.faults.is_crashed(w)
+                && !self.faults.severs(w, u)
+                && !self.faults.drops_from(rng, w)
+                && !self.faults.drops_on_edge(rng, w, u)
+            {
+                return true;
+            }
+        }
+        false
+    }
+}
+
+impl SpreadingProcess for BipsProcess<'_> {
+    // cobra-lint: hot
+    // cobra-lint: par
+    // cobra-lint: draws(bounded)
+    fn step_faulted(&mut self, draws: Draws<'_>, faults: &StepFaults<'_>) {
         let n = self.graph.num_vertices();
         // Erase the two-rounds-old state through its dirty list; the scratch is now all-clear.
         self.next_infected.clear_list(&self.next_list);
         self.next_list.clear();
         self.newly.clear();
-        for u in 0..n {
-            if u == self.source {
-                self.next_infected.insert(u);
-                self.next_list.push(u);
-                continue;
-            }
-            let neighbors = self.graph.neighbors(u);
-            if neighbors.is_empty() {
-                continue;
-            }
-            // `boost` is 1 unless a defense raised it, so the inert path is exactly the
-            // original draw arithmetic (Fixed k consumes zero words either way).
-            let samples = self.branching.sample_pushes(rng) * self.boost;
-            let mut hit = false;
-            for _ in 0..samples {
-                let w = *sample::sample_slice(neighbors, rng).expect("neighbour slice non-empty");
-                // A crashed vertex never relays: its infection is invisible to samplers.
-                // A severed cut blocks the sampled edge deterministically, and the drop
-                // draw only happens for a would-be-successful transmission (sender `w`).
-                if self.infected.contains(w)
-                    && !faults.is_crashed(w)
-                    && !faults.severs(w, u)
-                    && !faults.drops_from(rng, w)
-                    && !faults.drops_on_edge(rng, w, u)
-                {
-                    hit = true;
-                    break;
-                }
-            }
-            if hit {
-                self.next_infected.insert(u);
-                self.next_list.push(u);
-                if !self.infected.contains(u) {
-                    self.newly.push(u);
-                }
-                self.ever_infected.insert(u);
-            }
-        }
-        std::mem::swap(&mut self.infected, &mut self.next_infected);
-        std::mem::swap(&mut self.infected_list, &mut self.next_list);
-        self.round += 1;
-    }
-
-    // Stream mode: every vertex's `k` probes (and the drop draw of any would-be-successful
-    // pull) come from its own `(vertex, round)` stream, so the Θ(n) scan shards cleanly.
-    // cobra-lint: par
-    // cobra-lint: draws(bounded)
-    fn step_streams(&mut self, engine: &ParallelFrontier, faults: &StepFaults<'_>) -> Result<()> {
-        let n = self.graph.num_vertices();
-        self.next_infected.clear_list(&self.next_list);
-        self.next_list.clear();
-        self.newly.clear();
-        let graph = self.graph;
         let source = self.source;
-        let branching = self.branching;
-        let boost = self.boost;
-        let round = self.round as u64;
-        let streams = engine.streams();
-        let infected = &self.infected;
-        // Contiguous index shards merged in shard order keep the hit list ascending — the
-        // same order the sequential 0..n scan produces — at every thread count.
-        let shards = engine.fan_out_ranges(n, |range| {
-            let mut hits: Vec<VertexId> = Vec::new();
-            for u in range {
-                if u == source {
-                    hits.push(u);
-                    continue;
-                }
-                let neighbors = graph.neighbors(u);
-                if neighbors.is_empty() {
-                    continue;
-                }
-                let mut rng = streams.stream(u as u64, round);
-                let samples = branching.sample_pushes(&mut rng) * boost;
-                let mut hit = false;
-                for _ in 0..samples {
-                    let w = *sample::sample_slice(neighbors, &mut rng)
-                        .expect("neighbour slice non-empty");
-                    if infected.contains(w)
-                        && !faults.is_crashed(w)
-                        && !faults.severs(w, u)
-                        && !faults.drops_from(&mut rng, w)
-                        && !faults.drops_on_edge(&mut rng, w, u)
-                    {
-                        hit = true;
-                        break;
-                    }
-                }
-                if hit {
-                    hits.push(u);
-                }
-            }
-            hits
-        });
-        for u in shards.into_iter().flatten() {
+        let puller = Puller {
+            graph: self.graph,
+            source,
+            branching: self.branching,
+            boost: self.boost,
+            infected: &self.infected,
+            faults,
+        };
+        let mut admit = |u: VertexId| {
             self.next_infected.insert(u);
             self.next_list.push(u);
             if u != source {
@@ -274,15 +237,33 @@ impl SpreadingProcess for BipsProcess<'_> {
                 }
                 self.ever_infected.insert(u);
             }
+        };
+        match draws {
+            Draws::Trial(rng) => {
+                for u in 0..n {
+                    if puller.infects(u, rng) {
+                        admit(u);
+                    }
+                }
+            }
+            // Every vertex probes from its own `(vertex, round)` stream, so the Θ(n) scan
+            // shards cleanly; contiguous shards merged in shard order keep the hit list
+            // ascending, as the sequential scan does, at every thread count.
+            Draws::Streams(engine) => {
+                let round = self.round as u64;
+                let shards = engine.shard_buffers(n, |range, hits| {
+                    for u in range {
+                        if puller.infects(u, &mut engine.stream(u as u64, round)) {
+                            hits.push(u);
+                        }
+                    }
+                });
+                shards.into_iter().flatten().for_each(admit);
+            }
         }
         std::mem::swap(&mut self.infected, &mut self.next_infected);
         std::mem::swap(&mut self.infected_list, &mut self.next_list);
         self.round += 1;
-        Ok(())
-    }
-
-    fn supports_streams(&self) -> bool {
-        true
     }
 
     fn round(&self) -> usize {

@@ -27,7 +27,7 @@ use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
 
 use crate::fault::StepFaults;
-use crate::parallel::ParallelFrontier;
+use crate::parallel::Draws;
 use crate::process::SpreadingProcess;
 use crate::{CoreError, Result};
 
@@ -321,49 +321,107 @@ impl<'g> CobraProcess<'g> {
     }
 }
 
-impl SpreadingProcess for CobraProcess<'_> {
+/// One round's read-only push inputs and the per-sender kernel that both draw sources
+/// iterate.
+struct Sender<'a> {
+    graph: &'a Graph,
+    branching: Branching,
+    budgets: Option<&'a [u32]>,
+    boost: u32,
+    faults: &'a StepFaults<'a>,
+}
+
+impl Sender<'_> {
+    /// Whether `u` pushes this round. A crashed vertex holds the token but never relays, and
+    /// an isolated one has nobody to push to; neither draws, so stream mode never opens
+    /// their streams.
+    #[inline]
+    fn relays(&self, u: VertexId) -> bool {
+        !self.faults.is_crashed(u) && self.graph.degree(u) > 0
+    }
+
+    /// Draws the pushes of a relaying `u` and hands each delivered target to `deliver`, in
+    /// draw order.
     // cobra-lint: hot
     // cobra-lint: draws(bounded)
-    fn step_faulted(&mut self, rng: &mut dyn RngCore, faults: &StepFaults<'_>) {
+    #[inline]
+    fn push<R: RngCore + ?Sized>(
+        &self,
+        u: VertexId,
+        rng: &mut R,
+        mut deliver: impl FnMut(VertexId),
+    ) {
+        let neighbors = self.graph.neighbors(u);
+        // `boost` is 1 unless a defense raised it, so the inert path is exactly the
+        // original draw arithmetic (Fixed k and budget-table lookups consume zero words
+        // either way).
+        let pushes = match self.budgets {
+            Some(budgets) => budgets[u],
+            None => self.branching.sample_pushes(rng),
+        } * self.boost;
+        for _ in 0..pushes {
+            // The drop decision precedes the target draw: a lost push samples nothing.
+            if self.faults.drops_from(rng, u) {
+                continue;
+            }
+            let target =
+                *sample::sample_slice(neighbors, rng).expect("neighbour slice is non-empty");
+            // A severed cut blocks the push after the (already consumed) target draw;
+            // a per-edge channel may then drop it on the specific link chosen.
+            if self.faults.severs(u, target) || self.faults.drops_on_edge(rng, u, target) {
+                continue;
+            }
+            deliver(target);
+        }
+    }
+}
+
+impl SpreadingProcess for CobraProcess<'_> {
+    // cobra-lint: hot
+    // cobra-lint: par
+    // cobra-lint: draws(bounded)
+    fn step_faulted(&mut self, draws: Draws<'_>, faults: &StepFaults<'_>) {
         self.newly.clear();
-        // The frontier is ascending, so the RNG draw order matches the dense engine's
-        // 0..n scan exactly.
-        for &u in &self.frontier {
-            // A crashed vertex holds the token but never relays it.
-            if faults.is_crashed(u) {
-                continue;
-            }
-            let neighbors = self.graph.neighbors(u);
-            if neighbors.is_empty() {
-                continue;
-            }
-            // `boost` is 1 unless a defense raised it, so the inert path is exactly the
-            // original draw arithmetic (Fixed k and budget-table lookups consume zero
-            // words either way).
-            let pushes = match &self.budgets {
-                Some(budgets) => budgets[u],
-                None => self.branching.sample_pushes(rng),
-            } * self.boost;
-            for _ in 0..pushes {
-                // The drop decision precedes the target draw: a lost push samples nothing.
-                if faults.drops_from(rng, u) {
-                    continue;
+        let sender = Sender {
+            graph: self.graph,
+            branching: self.branching,
+            budgets: self.budgets.as_deref(),
+            boost: self.boost,
+            faults,
+        };
+        let mut deliver = |target: VertexId| {
+            if self.next_active.insert(target) {
+                if !self.active.contains(target) {
+                    self.newly.push(target);
                 }
-                let target =
-                    *sample::sample_slice(neighbors, rng).expect("neighbour slice is non-empty");
-                // A severed cut blocks the push after the (already consumed) target draw;
-                // a per-edge channel may then drop it on the specific link chosen.
-                if faults.severs(u, target) || faults.drops_on_edge(rng, u, target) {
-                    continue;
+                if self.visited.insert(target) {
+                    self.num_visited += 1;
                 }
-                if self.next_active.insert(target) {
-                    if !self.active.contains(target) {
-                        self.newly.push(target);
-                    }
-                    if self.visited.insert(target) {
-                        self.num_visited += 1;
+            }
+        };
+        match draws {
+            // The frontier is ascending, so the trial RNG's draw order matches the dense
+            // engine's 0..n scan exactly.
+            Draws::Trial(rng) => {
+                for &u in &self.frontier {
+                    if sender.relays(u) {
+                        sender.push(u, rng, &mut deliver);
                     }
                 }
+            }
+            // Each sender draws from its own `(vertex, round)` stream, so shards can split
+            // the frontier anywhere; merging the buffers in shard order delivers targets in
+            // sender-ascending order at every thread count.
+            Draws::Streams(engine) => {
+                let (frontier, round) = (&self.frontier, self.round as u64);
+                let shards = engine.shard_buffers(frontier.len(), |range, buffer| {
+                    let senders =
+                        frontier[range].iter().filter(|&&u| sender.relays(u)).map(|&u| u as u64);
+                    engine.streams().for_each_stream(senders, round, |u, rng| {
+                        sender.push(u as VertexId, rng, |target| buffer.push(target));
+                    });
+                });
+                shards.into_iter().flatten().for_each(deliver);
             }
         }
         // Erase C_t through its own member list, then swap buffers: the erased bitset
@@ -373,72 +431,6 @@ impl SpreadingProcess for CobraProcess<'_> {
         self.frontier.clear();
         self.active.collect_into(&mut self.frontier);
         self.round += 1;
-    }
-
-    // Stream mode: each frontier member draws pushes, drops and targets from its own
-    // `(vertex, round)` stream, so the shard fan-out below can split the frontier anywhere
-    // without changing a single draw.
-    // cobra-lint: par
-    // cobra-lint: draws(bounded)
-    fn step_streams(&mut self, engine: &ParallelFrontier, faults: &StepFaults<'_>) -> Result<()> {
-        self.newly.clear();
-        let graph = self.graph;
-        let branching = self.branching;
-        let boost = self.boost;
-        let budgets = self.budgets.as_deref();
-        let round = self.round as u64;
-        let streams = engine.streams();
-        // Shards are contiguous and merged in shard order, so proposals arrive in
-        // sender-ascending order at every thread count — insertion order (hence `newly`,
-        // `visited` and the next frontier) is thread-invariant.
-        let shards = engine.fan_out(&self.frontier, |_, chunk| {
-            let mut proposals: Vec<VertexId> = Vec::with_capacity(chunk.len() * 2);
-            // Crashed and isolated senders draw nothing, so their streams are never opened.
-            let senders = chunk
-                .iter()
-                .filter(|&&u| !faults.is_crashed(u) && graph.degree(u) > 0)
-                .map(|&u| u as u64);
-            streams.for_each_stream(senders, round, |sender, rng| {
-                let u = sender as VertexId;
-                let neighbors = graph.neighbors(u);
-                let pushes = match budgets {
-                    Some(budgets) => budgets[u],
-                    None => branching.sample_pushes(rng),
-                } * boost;
-                for _ in 0..pushes {
-                    if faults.drops_from(rng, u) {
-                        continue;
-                    }
-                    let target = *sample::sample_slice(neighbors, rng)
-                        .expect("neighbour slice is non-empty");
-                    if faults.severs(u, target) || faults.drops_on_edge(rng, u, target) {
-                        continue;
-                    }
-                    proposals.push(target);
-                }
-            });
-            proposals
-        });
-        for target in shards.into_iter().flatten() {
-            if self.next_active.insert(target) {
-                if !self.active.contains(target) {
-                    self.newly.push(target);
-                }
-                if self.visited.insert(target) {
-                    self.num_visited += 1;
-                }
-            }
-        }
-        self.active.clear_list(&self.frontier);
-        std::mem::swap(&mut self.active, &mut self.next_active);
-        self.frontier.clear();
-        self.active.collect_into(&mut self.frontier);
-        self.round += 1;
-        Ok(())
-    }
-
-    fn supports_streams(&self) -> bool {
-        true
     }
 
     fn round(&self) -> usize {

@@ -100,7 +100,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::adversary::{AdversaryPolicy, AdversarySpec, ProcessView};
 use crate::defense::{DefensePolicy, DefenseSpec, DefenseStats};
-use crate::parallel::{ParallelFrontier, ADVERSARY_ENTITY, DEFENSE_ENTITY, FAULT_ENTITY};
+use crate::parallel::{Draws, ADVERSARY_ENTITY, DEFENSE_ENTITY, FAULT_ENTITY};
 use crate::process::SpreadingProcess;
 use crate::sim::{Observer, RunOutcome, Runner, StopReason};
 use crate::spec::ProcessSpec;
@@ -703,7 +703,7 @@ impl<'a> StepFaults<'a> {
     /// RNG is untouched.
     // cobra-lint: draws(bounded)
     #[inline]
-    pub fn drops_from(&self, rng: &mut dyn RngCore, from: VertexId) -> bool {
+    pub fn drops_from<R: RngCore + ?Sized>(&self, rng: &mut R, from: VertexId) -> bool {
         if self.drop > 0.0 && rng.gen_bool(self.drop) {
             return true;
         }
@@ -739,7 +739,12 @@ impl<'a> StepFaults<'a> {
     /// before target selection.
     // cobra-lint: draws(bounded)
     #[inline]
-    pub fn drops_on_edge(&self, rng: &mut dyn RngCore, from: VertexId, to: VertexId) -> bool {
+    pub fn drops_on_edge<R: RngCore + ?Sized>(
+        &self,
+        rng: &mut R,
+        from: VertexId,
+        to: VertexId,
+    ) -> bool {
         let f = self.edge_drop_probability(from, to);
         f > 0.0 && rng.gen_bool(f)
     }
@@ -1266,26 +1271,6 @@ impl PlanDynamics {
     }
 }
 
-/// Where one round's randomness comes from: the trial RNG in sequential mode, or the
-/// reserved per-(entity, round) streams in stream mode.
-enum Draws<'a> {
-    /// Sequential mode: every layer draws from the trial RNG, in layer order.
-    Trial(&'a mut dyn RngCore),
-    /// Stream mode: each layer draws from its reserved entity stream at the current round.
-    Streams(&'a ParallelFrontier),
-}
-
-impl Draws<'_> {
-    /// Runs `f` on the RNG layer `entity` draws from this round.
-    // cobra-lint: draws(bounded)
-    fn with<R>(&mut self, entity: u64, round: u64, f: impl FnOnce(&mut dyn RngCore) -> R) -> R {
-        match self {
-            Draws::Trial(rng) => f(&mut **rng),
-            Draws::Streams(engine) => f(&mut engine.stream(entity, round)),
-        }
-    }
-}
-
 /// Runs any process inside its per-trial adversity environment: a [`FaultPlan`]'s
 /// oblivious clauses, its optional [`adversary`](crate::adversary) policy and its optional
 /// [`defense`](crate::defense) policy.
@@ -1293,9 +1278,8 @@ impl Draws<'_> {
 /// The wrapper owns the whole environment — the plan dynamics (lazy crash sampling,
 /// crash/repair evolution, the Gilbert–Elliott channel), the per-edge channel bank of a
 /// `gedrop=…:scope=edge` plan, the adversary policy and the defense policy with its
-/// [`DefenseStats`] ledger — and composes them in one per-round body that both
-/// [`step_faulted`](SpreadingProcess::step_faulted) and
-/// [`step_streams`](SpreadingProcess::step_streams) run:
+/// [`DefenseStats`] ledger — and composes them in one per-round body, its
+/// [`step_faulted`](SpreadingProcess::step_faulted), under either [`Draws`] source:
 ///
 /// 1. the defense observes the pre-round state;
 /// 2. its re-seed set is applied, skipping crashed vertices;
@@ -1305,12 +1289,13 @@ impl Draws<'_> {
 /// 6. the edge bank advances;
 /// 7. the inner process steps under the composed faults.
 ///
-/// Sequential mode draws every step from the trial RNG in this order. Stream mode draws
-/// step 1 from [`DEFENSE_ENTITY`], step 4 from [`ADVERSARY_ENTITY`] and steps 5–6 from
-/// [`FAULT_ENTITY`], all at the current round, so `--threads N` stays bit-identical. A
-/// benign plan without policies draws nothing, and an inert defense makes no process-hook
-/// calls, so both are bit-identical to the bare process. `adv=oblivious` builds no policy:
-/// the plan's own clauses already are the oblivious adversary.
+/// [`Draws::Trial`] draws every step from the trial RNG in this order. [`Draws::Streams`]
+/// draws step 1 from [`DEFENSE_ENTITY`], step 4 from [`ADVERSARY_ENTITY`] and steps 5–6
+/// from [`FAULT_ENTITY`], all at the current round, so `--threads N` stays bit-identical;
+/// step 7 hands the same source to the inner process. A benign plan without policies draws
+/// nothing, and an inert defense makes no process-hook calls, so both are bit-identical to
+/// the bare process. `adv=oblivious` builds no policy: the plan's own clauses already are
+/// the oblivious adversary.
 ///
 /// The wrapper is itself a [`SpreadingProcess`], so the `Runner`, every observer and the
 /// Monte-Carlo driver handle it exactly like a bare process. Churn is *not* handled here
@@ -1417,13 +1402,16 @@ impl<'g> FaultedProcess<'g> {
     pub fn inner(&self) -> &dyn SpreadingProcess {
         self.inner.as_ref()
     }
+}
 
-    /// One round of the environment, composed with the faults of an outer caller: drops
-    /// are independent, crashes fold into the plan's set, and the targeted drop, severed
-    /// partition and edge bank of the environment win over the outer caller's.
+impl SpreadingProcess for FaultedProcess<'_> {
+    // One round of the environment, composed with the faults of an outer caller: drops
+    // are independent, crashes fold into the plan's set, and the targeted drop, severed
+    // partition and edge bank of the environment win over the outer caller's.
     // cobra-lint: hot
+    // cobra-lint: par
     // cobra-lint: draws(bounded)
-    fn run_round(&mut self, mut draws: Draws<'_>, outer: &StepFaults<'_>) -> Result<()> {
+    fn step_faulted(&mut self, mut draws: Draws<'_>, outer: &StepFaults<'_>) {
         let round = self.inner.round() as u64;
         let graph = self.graph;
         let mut backoff = false;
@@ -1482,31 +1470,7 @@ impl<'g> FaultedProcess<'g> {
             .with_targeted(targeted.targeted_drop_probability(), targeted.targeted_set())
             .with_partition(own.severed_side().or(outer.severed_side()))
             .with_edge_channels(self.edges.as_ref().or(outer.edge));
-        match draws {
-            Draws::Trial(rng) => {
-                self.inner.step_faulted(rng, &faults);
-                Ok(())
-            }
-            Draws::Streams(engine) => self.inner.step_streams(engine, &faults),
-        }
-    }
-}
-
-impl SpreadingProcess for FaultedProcess<'_> {
-    // cobra-lint: hot
-    // cobra-lint: draws(bounded)
-    fn step_faulted(&mut self, rng: &mut dyn RngCore, outer: &StepFaults<'_>) {
-        self.run_round(Draws::Trial(rng), outer).expect("sequential steps cannot fail");
-    }
-
-    // cobra-lint: par
-    // cobra-lint: draws(bounded)
-    fn step_streams(&mut self, engine: &ParallelFrontier, outer: &StepFaults<'_>) -> Result<()> {
-        self.run_round(Draws::Streams(engine), outer)
-    }
-
-    fn supports_streams(&self) -> bool {
-        self.inner.supports_streams()
+        self.inner.step_faulted(draws, &faults);
     }
 
     fn round(&self) -> usize {
@@ -1584,8 +1548,9 @@ struct OffsetRounds<'p> {
 
 impl SpreadingProcess for OffsetRounds<'_> {
     // cobra-lint: hot
+    // cobra-lint: par
     // cobra-lint: draws(0)
-    fn step_faulted(&mut self, _rng: &mut dyn RngCore, _faults: &StepFaults<'_>) {
+    fn step_faulted(&mut self, _draws: Draws<'_>, _faults: &StepFaults<'_>) {
         unreachable!("the churn observer view is read-only")
     }
 
@@ -1969,7 +1934,7 @@ mod tests {
         for seed in 0..20 {
             let mut faulted = FaultedProcess::new(&spec, &plan, &graph).unwrap();
             let mut r = rng(seed);
-            faulted.step_faulted(&mut r, &StepFaults::NONE);
+            faulted.step_faulted(Draws::Trial(&mut r), &StepFaults::NONE);
             let crashed = faulted.crashed().expect("25% of 40 vertices crash");
             assert_eq!(crashed.count(), 10);
             assert!(!crashed.contains(0), "the start vertex must never crash");
@@ -2083,7 +2048,7 @@ mod tests {
         let mut ever_changed = false;
         let mut previous: Option<Vec<usize>> = None;
         for _ in 0..200 {
-            faulted.step_faulted(&mut r, &StepFaults::NONE);
+            faulted.step_faulted(Draws::Trial(&mut r), &StepFaults::NONE);
             let crashed = faulted.crashed().expect("25% of 64 vertices crash initially");
             assert!(!crashed.contains(0), "the protected start never crashes");
             let members: Vec<usize> = crashed.iter().collect();
@@ -2109,10 +2074,10 @@ mod tests {
         let plan = FaultPlan { crash: CrashSpec::Percent { percent: 25.0 }, ..FaultPlan::none() };
         let mut faulted = FaultedProcess::new(&spec, &plan, &graph).unwrap();
         let mut r = rng(3);
-        faulted.step_faulted(&mut r, &StepFaults::NONE);
+        faulted.step_faulted(Draws::Trial(&mut r), &StepFaults::NONE);
         let initial: Vec<usize> = faulted.crashed().unwrap().iter().collect();
         for _ in 0..50 {
-            faulted.step_faulted(&mut r, &StepFaults::NONE);
+            faulted.step_faulted(Draws::Trial(&mut r), &StepFaults::NONE);
         }
         let later: Vec<usize> = faulted.crashed().unwrap().iter().collect();
         assert_eq!(initial, later, "without repair= the crash set is permanent");
@@ -2130,7 +2095,7 @@ mod tests {
         };
         let mut faulted = FaultedProcess::new(&spec, &plan, &graph).unwrap();
         let mut r = rng(5);
-        faulted.step_faulted(&mut r, &StepFaults::NONE);
+        faulted.step_faulted(Draws::Trial(&mut r), &StepFaults::NONE);
         assert_eq!(faulted.crashed().unwrap().count(), 0, "repair=1 heals everything");
         faulted.reset();
         let restored: Vec<usize> = faulted.crashed().unwrap().iter().collect();
@@ -2139,7 +2104,7 @@ mod tests {
         // Sampled sets are re-drawn per trial.
         let sampled = FaultPlan { crash: CrashSpec::Count { count: 4 }, ..FaultPlan::default() };
         let mut faulted = FaultedProcess::new(&spec, &sampled, &graph).unwrap();
-        faulted.step_faulted(&mut r, &StepFaults::NONE);
+        faulted.step_faulted(Draws::Trial(&mut r), &StepFaults::NONE);
         assert_eq!(faulted.crashed().unwrap().count(), 4);
         faulted.reset();
         assert!(faulted.crashed().is_none(), "the next trial draws a fresh set");

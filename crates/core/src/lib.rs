@@ -147,7 +147,7 @@ pub use counting::CountingRng;
 pub use defense::{DefenseActions, DefensePolicy, DefenseSpec, DefenseStats};
 pub use error::CoreError;
 pub use fault::{CrashSpec, DropModel, FaultPlan, FaultedProcess, StepFaults};
-pub use parallel::{ParallelFrontier, ParallelProcess};
+pub use parallel::{Draws, ParallelFrontier, ParallelProcess};
 pub use process::SpreadingProcess;
 pub use sim::{RunOutcome, Runner};
 pub use spec::ProcessSpec;

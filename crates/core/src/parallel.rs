@@ -1,6 +1,6 @@
 //! The sharded parallel frontier engine — determinism v2.
 //!
-//! The sequential engines define determinism by a single global draw order: vertex `u`'s
+//! The sequential engine defines determinism by a single global draw order: vertex `u`'s
 //! pushes consume whatever words happen to come next on the shared trial stream, so any
 //! change of iteration schedule changes every trajectory. That definition makes frontier
 //! iteration inherently serial — the RNG stream *is* a serialization point — and it is why
@@ -13,6 +13,14 @@
 //! have a global order at all — only per-entity orders, which are fixed by construction —
 //! so frontier iteration can be sharded across threads and the trajectory is *bit-identical
 //! for every thread count*, `--threads 1` included.
+//!
+//! Both engines run the same round body. [`SpreadingProcess::step_faulted`] takes a
+//! [`Draws`] source, and every process writes one per-entity kernel that it iterates in
+//! one of two ways: over the whole frontier from the trial RNG, merging inline
+//! ([`Draws::Trial`]), or shard by shard from per-entity streams into the buffers of
+//! [`ParallelFrontier::shard_buffers`], merged in shard order ([`Draws::Streams`]).
+//! [`ParallelProcess`] drives any process — every process and the environment wrapper
+//! support both — in stream mode.
 //!
 //! A shard may open its streams one at a time ([`VertexStreams::stream`]) or four per
 //! block-kernel call ([`VertexStreams::for_each_stream`]); the kernel changes how many
@@ -47,8 +55,10 @@
 //!   distributions match — enforced by matched-quantile tests under common random numbers
 //!   at the trial level.
 
+use std::ops::Range;
+
 use cobra_graph::sample::VertexStreams;
-use cobra_graph::{Graph, VertexBitset, VertexId};
+use cobra_graph::{VertexBitset, VertexId};
 use rand::RngCore;
 use rand_chacha::ChaCha8Stream;
 
@@ -69,8 +79,45 @@ pub const ADVERSARY_ENTITY: u64 = u64::MAX - 1;
 /// [`FaultedProcess`](crate::FaultedProcess).
 pub const DEFENSE_ENTITY: u64 = u64::MAX - 2;
 
-/// The per-trial stream engine handed to [`SpreadingProcess::step_streams`]: the trial's
-/// [`VertexStreams`] key plus the worker-thread count for sharded frontier iteration.
+/// Where one round's randomness comes from: the input of
+/// [`SpreadingProcess::step_faulted`].
+pub enum Draws<'a> {
+    /// Sequential mode (determinism v1): every draw comes from the trial RNG, in one global
+    /// order fixed by ascending frontier iteration.
+    Trial(&'a mut dyn RngCore),
+    /// Stream mode (determinism v2): every entity draws from its own `(entity, round)`
+    /// stream, and frontier iteration may be sharded across the engine's threads.
+    Streams(&'a ParallelFrontier),
+}
+
+impl std::fmt::Debug for Draws<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Draws::Trial(_) => f.write_str("Trial"),
+            Draws::Streams(engine) => f.debug_tuple("Streams").field(engine).finish(),
+        }
+    }
+}
+
+impl Draws<'_> {
+    /// Runs `f` on the RNG that `entity` draws from at `round`: the trial RNG in sequential
+    /// mode, the entity's own stream in stream mode.
+    // cobra-lint: draws(bounded)
+    pub(crate) fn with<R>(
+        &mut self,
+        entity: u64,
+        round: u64,
+        f: impl FnOnce(&mut dyn RngCore) -> R,
+    ) -> R {
+        match self {
+            Draws::Trial(rng) => f(&mut **rng),
+            Draws::Streams(engine) => f(&mut engine.stream(entity, round)),
+        }
+    }
+}
+
+/// The per-trial stream engine behind [`Draws::Streams`]: the trial's [`VertexStreams`] key
+/// plus the worker-thread count for sharded frontier iteration.
 #[derive(Debug, Clone)]
 pub struct ParallelFrontier {
     streams: VertexStreams,
@@ -123,8 +170,7 @@ impl ParallelFrontier {
 
     /// Shards `items` across the engine's threads, collecting each shard's result in shard
     /// order: `op(shard_base, shard_items)` runs on scoped threads via the vendored rayon.
-    /// Shards are contiguous, so concatenating the results preserves item order — the
-    /// property every `step_streams` merge relies on for thread-count invariance.
+    /// Shards are contiguous, so concatenating the results preserves item order.
     pub fn fan_out<T, R, F>(&self, items: &[T], op: F) -> Vec<R>
     where
         T: Sync,
@@ -134,25 +180,30 @@ impl ParallelFrontier {
         rayon::par_chunks(items, self.threads, op)
     }
 
-    /// Range analogue of [`fan_out`](Self::fan_out) for the Θ(n)-scan processes (BIPS,
-    /// PUSH–PULL): shards `0..len` into contiguous sub-ranges.
-    pub fn fan_out_ranges<R, F>(&self, len: usize, op: F) -> Vec<R>
+    /// Shards the index range `0..len` into contiguous sub-ranges across the engine's
+    /// threads and runs `op(range, buffer)` on each with a fresh output buffer, returning
+    /// the buffers in shard order. This is where every stream-mode round gets its per-shard
+    /// scratch: a process's kernel writes into `buffer`, and the process merges the
+    /// concatenated buffers in order — the property that makes its trajectory
+    /// thread-count invariant. Frontier processes index their frontier with `range`.
+    pub fn shard_buffers<U, F>(&self, len: usize, op: F) -> Vec<Vec<U>>
     where
-        R: Send,
-        F: Fn(std::ops::Range<usize>) -> R + Sync,
+        U: Send,
+        F: Fn(Range<usize>, &mut Vec<U>) + Sync,
     {
-        rayon::par_ranges(len, self.threads, op)
+        rayon::par_ranges(len, self.threads, |range| {
+            let mut buffer = Vec::with_capacity(range.len());
+            op(range, &mut buffer);
+            buffer
+        })
     }
 }
 
-/// Wraps a stream-capable process so the ordinary [`SpreadingProcess`] driving loop — the
-/// `Runner`, observers, the Monte-Carlo driver, `repro` — runs it in stream mode without
-/// any changes: [`step_faulted`](SpreadingProcess::step_faulted) ignores the caller's RNG
-/// (all randomness comes from the per-entity streams) and forwards to
-/// [`step_streams`](SpreadingProcess::step_streams) with the held engine.
-///
-/// Construction refuses processes (or wrapper stacks) that do not support stream mode, so
-/// a `ParallelProcess` can never silently fall back to sequential draw order.
+/// Runs any process in stream mode under the ordinary [`SpreadingProcess`] driving loop —
+/// the `Runner`, observers, the Monte-Carlo driver, `repro` — without any changes:
+/// [`step_faulted`](SpreadingProcess::step_faulted) ignores the caller's draws (all
+/// randomness comes from the per-entity streams) and steps the inner process with
+/// [`Draws::Streams`] over the held engine.
 pub struct ParallelProcess<'g> {
     inner: Box<dyn SpreadingProcess + Send + 'g>,
     engine: ParallelFrontier,
@@ -166,37 +217,8 @@ impl std::fmt::Debug for ParallelProcess<'_> {
 
 impl<'g> ParallelProcess<'g> {
     /// Wraps `inner` under `engine`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidParameters`] if `inner` (or any layer of its wrapper
-    /// stack) does not implement [`SpreadingProcess::step_streams`].
-    pub fn new(
-        inner: Box<dyn SpreadingProcess + Send + 'g>,
-        engine: ParallelFrontier,
-    ) -> Result<Self> {
-        if !inner.supports_streams() {
-            return Err(CoreError::InvalidParameters {
-                reason: "process does not support per-vertex stream stepping; the parallel \
-                         engine cannot drive it"
-                    .to_string(),
-            });
-        }
-        Ok(ParallelProcess { inner, engine })
-    }
-
-    /// Convenience constructor drawing the stream key from the trial RNG.
-    ///
-    /// # Errors
-    ///
-    /// As [`ParallelProcess::new`], plus `threads == 0` rejection.
-    // cobra-lint: draws(bounded)
-    pub fn from_rng(
-        inner: Box<dyn SpreadingProcess + Send + 'g>,
-        threads: usize,
-        rng: &mut dyn RngCore,
-    ) -> Result<Self> {
-        Self::new(inner, ParallelFrontier::from_rng(rng, threads)?)
+    pub fn new(inner: Box<dyn SpreadingProcess + Send + 'g>, engine: ParallelFrontier) -> Self {
+        ParallelProcess { inner, engine }
     }
 
     /// The held engine.
@@ -211,24 +233,14 @@ impl<'g> ParallelProcess<'g> {
 }
 
 impl SpreadingProcess for ParallelProcess<'_> {
-    // The caller's RNG is deliberately untouched: stream mode draws only from the
+    // The caller's draws are deliberately ignored: stream mode draws only from the
     // per-entity streams, which is exactly what makes the trajectory thread-invariant.
     // cobra-lint: hot
-    // cobra-lint: draws(0)
-    fn step_faulted(&mut self, rng: &mut dyn RngCore, faults: &StepFaults<'_>) {
-        let _ = rng;
-        self.inner
-            .step_streams(&self.engine, faults)
-            .expect("stream support was verified at construction");
-    }
-
     // cobra-lint: par
-    fn step_streams(&mut self, engine: &ParallelFrontier, faults: &StepFaults<'_>) -> Result<()> {
-        self.inner.step_streams(engine, faults)
-    }
-
-    fn supports_streams(&self) -> bool {
-        true
+    // cobra-lint: draws(0)
+    fn step_faulted(&mut self, draws: Draws<'_>, faults: &StepFaults<'_>) {
+        let _ = draws;
+        self.inner.step_faulted(Draws::Streams(&self.engine), faults);
     }
 
     fn round(&self) -> usize {
@@ -284,27 +296,6 @@ impl SpreadingProcess for ParallelProcess<'_> {
     }
 }
 
-/// Builds the stream-mode process for `spec` on `graph`: the process from
-/// [`ProcessSpec::build`](crate::spec::ProcessSpec::build) (inside its environment wrapper,
-/// whose fault, adversary and defense layers each draw from a reserved entity stream)
-/// inside a [`ParallelProcess`] whose trial key comes from `rng`.
-///
-/// # Errors
-///
-/// Propagates spec build failures, rejects `threads == 0`, and rejects specs whose stack
-/// does not support stream mode (none today — all seven processes and the environment
-/// wrapper implement it; the error path guards future processes).
-// cobra-lint: draws(bounded)
-pub fn build_parallel<'g>(
-    spec: &crate::spec::ProcessSpec,
-    graph: &'g Graph,
-    threads: usize,
-    rng: &mut dyn RngCore,
-) -> Result<ParallelProcess<'g>> {
-    let inner = spec.build(graph)?;
-    ParallelProcess::from_rng(inner, threads, rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,41 +323,13 @@ mod tests {
     }
 
     #[test]
-    fn wrapper_refuses_stream_incapable_processes() {
-        // OffsetRounds-style fakes don't implement step_streams; emulate with a minimal stub.
-        struct NoStreams(VertexBitset);
-        impl SpreadingProcess for NoStreams {
-            fn step_faulted(&mut self, _: &mut dyn RngCore, _: &StepFaults<'_>) {}
-            fn round(&self) -> usize {
-                0
-            }
-            fn active(&self) -> &VertexBitset {
-                &self.0
-            }
-            fn num_active(&self) -> usize {
-                0
-            }
-            fn newly_activated(&self) -> &[VertexId] {
-                &[]
-            }
-            fn is_complete(&self) -> bool {
-                false
-            }
-            fn reset(&mut self) {}
-        }
-        let stub: Box<dyn SpreadingProcess + Send> = Box::new(NoStreams(VertexBitset::new(4)));
-        let engine = ParallelFrontier::new(VertexStreams::new([0u8; 32]), 2).unwrap();
-        assert!(ParallelProcess::new(stub, engine).is_err());
-    }
-
-    #[test]
     fn parallel_cobra_runs_to_completion_and_ignores_the_caller_rng() {
         let g = generators::connected_random_regular(128, 4, &mut ChaCha12Rng::seed_from_u64(3))
             .unwrap();
         let run = |caller_seed: u64| {
             let cobra = CobraProcess::new(&g, 0, Branching::fixed(2).unwrap()).unwrap();
             let engine = ParallelFrontier::new(VertexStreams::new([11u8; 32]), 2).unwrap();
-            let mut p = ParallelProcess::new(Box::new(cobra), engine).unwrap();
+            let mut p = ParallelProcess::new(Box::new(cobra), engine);
             let mut rng = ChaCha12Rng::seed_from_u64(caller_seed);
             run_until_complete(&mut p, &mut rng, 100_000).unwrap()
         };

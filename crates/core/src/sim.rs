@@ -647,10 +647,10 @@ mod tests {
         impl SpreadingProcess for Instrumented<'_> {
             fn step_faulted(
                 &mut self,
-                rng: &mut dyn RngCore,
+                draws: crate::parallel::Draws<'_>,
                 faults: &crate::fault::StepFaults<'_>,
             ) {
-                self.inner.step_faulted(rng, faults)
+                self.inner.step_faulted(draws, faults)
             }
             fn round(&self) -> usize {
                 self.inner.round()

@@ -83,6 +83,7 @@ use crate::baselines::{
 use crate::bips::BipsProcess;
 use crate::cobra::{Branching, CobraProcess};
 use crate::fault::{FaultPlan, FaultedProcess};
+use crate::parallel::{ParallelFrontier, ParallelProcess};
 use crate::process::SpreadingProcess;
 use crate::{CoreError, Result};
 
@@ -336,17 +337,16 @@ impl ProcessSpec {
     }
 
     /// Instantiates the process against `graph` in **stream mode**, wrapped in a
-    /// [`ParallelProcess`](crate::parallel::ParallelProcess) that shards frontier
-    /// iteration across `threads` worker threads. The per-trial stream key is drawn from
-    /// `rng`, so the usual `(master, label, index)` seeding path carries over unchanged —
-    /// and the resulting trajectory is bit-identical for every `threads` value.
+    /// [`ParallelProcess`] that shards frontier iteration across `threads` worker threads.
+    /// The per-trial stream key is drawn from `rng`, so the usual `(master, label, index)`
+    /// seeding path carries over unchanged — and the resulting trajectory is bit-identical
+    /// for every `threads` value.
     ///
     /// # Errors
     ///
-    /// As [`build`](Self::build), plus rejection of `threads == 0` and of specs whose
-    /// wrapper stack does not support stream stepping (churn plans, which re-instantiate
-    /// the graph mid-run, are already rejected by `build` itself outside
-    /// [`fault::run_churned`](crate::fault::run_churned)).
+    /// As [`build`](Self::build) (which already rejects churn plans outside
+    /// [`fault::run_churned`](crate::fault::run_churned)), plus rejection of
+    /// `threads == 0`.
     // cobra-lint: draws(bounded)
     pub fn build_parallel<'g>(
         &self,
@@ -354,7 +354,9 @@ impl ProcessSpec {
         threads: usize,
         rng: &mut dyn rand::RngCore,
     ) -> Result<Box<dyn SpreadingProcess + Send + 'g>> {
-        Ok(Box::new(crate::parallel::build_parallel(self, graph, threads, rng)?))
+        let inner = self.build(graph)?;
+        let engine = ParallelFrontier::from_rng(rng, threads)?;
+        Ok(Box::new(ParallelProcess::new(inner, engine)))
     }
 
     /// One representative spec per process kind (used by tests and `repro --list-processes`).

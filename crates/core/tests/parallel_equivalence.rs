@@ -55,7 +55,7 @@ fn stream_trajectory(
 ) -> Vec<RoundRecord> {
     let inner = spec.build(graph).expect("spec builds");
     let engine = ParallelFrontier::new(VertexStreams::new(key), threads).expect("threads >= 1");
-    let mut p = ParallelProcess::new(inner, engine).expect("stream support");
+    let mut p = ParallelProcess::new(inner, engine);
     let mut unused = ChaCha12Rng::seed_from_u64(0xDEAD);
     let mut trace = vec![record(&p)];
     for _ in 0..rounds {
@@ -157,7 +157,7 @@ fn every_vertex_stream_is_rederivable_and_draws_exactly_k_words() {
     let spec: ProcessSpec = "cobra:k=2".parse().unwrap();
     let inner = spec.build(&graph).unwrap();
     let engine = ParallelFrontier::new(VertexStreams::new(key), 3).unwrap();
-    let mut p = ParallelProcess::new(inner, engine).unwrap();
+    let mut p = ParallelProcess::new(inner, engine);
     let mut unused = ChaCha12Rng::seed_from_u64(1);
 
     let mut frontier: Vec<VertexId> = vec![0];
@@ -244,7 +244,7 @@ fn parallel_process_ignores_the_caller_rng_entirely() {
     let spec: ProcessSpec = "bips:k=2".parse().unwrap();
     let inner = spec.build(&graph).unwrap();
     let engine = ParallelFrontier::new(VertexStreams::new([3u8; 32]), 2).unwrap();
-    let mut p = ParallelProcess::new(inner, engine).unwrap();
+    let mut p = ParallelProcess::new(inner, engine);
     let mut counting = CountingRng::new(ChaCha12Rng::seed_from_u64(0));
     for _ in 0..10 {
         p.step(&mut counting);

@@ -63,12 +63,14 @@ pub fn try_run_spec_trials(
 
 /// [`run_spec_trials`] on the sharded stream engine: every trial builds its process through
 /// [`ProcessSpec::build_parallel`], deriving the trial's per-vertex stream key from the trial
-/// RNG and stepping the round loop across `threads` scoped worker threads.
+/// RNG, and every round steps the same round body as the sequential engine with a
+/// per-entity stream draw source, sharded across `threads` scoped worker threads.
 ///
 /// The contract (equivalence v2) is that `threads` is *not observable*: trajectories are
 /// bit-identical for any `threads >= 1`, because vertex streams are keyed by
 /// `(entity, round)` and shard results merge in ascending-sender order. Churned specs are
-/// rejected (the churn wrapper re-instantiates the graph mid-run and has no stream path).
+/// rejected (churn re-instantiates the graph mid-run, which a process built on one fixed
+/// graph cannot do).
 ///
 /// # Panics
 ///

@@ -484,7 +484,7 @@ pub(crate) fn step_faulted(&mut self) {}
         let src = "\
 // cobra-lint: hot
 // cobra-lint: par
-fn step_streams(&mut self) {}
+fn step_faulted(&mut self) {}
 ";
         let a = analyze_src(src);
         assert!(a.fns[0].hot && a.fns[0].par);

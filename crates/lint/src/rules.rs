@@ -11,7 +11,7 @@
 //! | R2 | `crates/core`, `crates/graph` | `HashMap`/`HashSet` (default `RandomState`) outside `use` decls |
 //! | R3 | everywhere | allocation inside a `hot` fn; an unannotated `step_faulted` or adversary/defense `observe` |
 //! | R4 | `crates/core` | RNG use inside a fn with no `draws(0)`/`draws(bounded)` contract |
-//! | R5 | everywhere | single-threaded shared state (`RefCell`/`Cell`/`Rc`/`static mut`) inside a `par` fn; an unannotated `step_streams` |
+//! | R5 | everywhere | single-threaded shared state (`RefCell`/`Cell`/`Rc`/`static mut`) inside a `par` fn; a `step_faulted` without `par` |
 //!
 //! Test regions (`#[test]`, `#[cfg(test)]`) are exempt from R1–R5 everywhere; R0 still fires
 //! inside them because a typoed directive is a bug wherever it sits.
@@ -271,21 +271,22 @@ const R5_BANNED_TYPES: &[&str] = &["RefCell", "Cell", "UnsafeCell", "OnceCell", 
 /// R5 — parallel discipline. Functions annotated `// cobra-lint: par` execute inside the
 /// sharded stream engine's scoped threads; they may not touch single-threaded shared state:
 /// `RefCell`/`Cell`/`UnsafeCell`/`OnceCell`/`Rc` or `static mut`. The annotation is
-/// *mandatory* on every `step_streams` impl in `crates/core`, so a new sharded step path
-/// cannot silently opt out of the check (mirroring R3's `hot` obligation).
+/// *mandatory* on every `step_faulted` impl in `crates/core` — the one stepping method,
+/// whose stream-mode arm shards its kernel — so a step path cannot silently opt out of the
+/// check (mirroring R3's `hot` obligation on the same fns).
 fn r5_parallel_discipline(rel_path: &str, a: &FileAnalysis, out: &mut Vec<Violation>) {
-    // Part 1: every stream-mode step path must be annotated.
+    // Part 1: every step path must be annotated.
     for f in &a.fns {
         if f.in_test || f.body.is_none() {
             continue;
         }
-        if in_crate(rel_path, "core") && f.name == "step_streams" && !f.par {
+        if in_crate(rel_path, "core") && f.name == "step_faulted" && !f.par {
             out.push(Violation::new(
                 "R5",
                 rel_path,
                 f.line,
-                "`step_streams` runs inside sharded scoped threads: annotate it \
-                 `// cobra-lint: par`"
+                "`step_faulted` runs its stream-mode kernel inside sharded scoped threads: \
+                 annotate it `// cobra-lint: par`"
                     .to_string(),
             ));
         }
@@ -370,12 +371,15 @@ mod tests {
 
     #[test]
     fn r3_requires_hot_on_step_faulted_and_bans_alloc_in_hot() {
-        let v = run("crates/core/src/cobra.rs", "fn step_faulted(&mut self) {}");
-        assert!(rules(&v).contains(&"R3"));
-        let hot_bad = "// cobra-lint: hot\nfn step_faulted(&mut self) { let v = Vec::new(); }";
+        let v =
+            run("crates/core/src/cobra.rs", "// cobra-lint: par\nfn step_faulted(&mut self) {}");
+        assert_eq!(rules(&v), vec!["R3"]);
+        let hot_bad = "// cobra-lint: hot\n// cobra-lint: par\n\
+                       fn step_faulted(&mut self) { let v = Vec::new(); }";
         let v = run("crates/core/src/cobra.rs", hot_bad);
         assert_eq!(rules(&v), vec!["R3"]);
-        let hot_ok = "// cobra-lint: hot\nfn step_faulted(&mut self) { self.scratch.clear(); }";
+        let hot_ok = "// cobra-lint: hot\n// cobra-lint: par\n\
+                      fn step_faulted(&mut self) { self.scratch.clear(); }";
         assert!(run("crates/core/src/cobra.rs", hot_ok).is_empty());
     }
 
@@ -391,27 +395,29 @@ mod tests {
     }
 
     #[test]
-    fn r5_requires_par_on_step_streams_and_bans_interior_mutability() {
-        // Unannotated stream-mode step path in core.
-        let v = run("crates/core/src/cobra.rs", "fn step_streams(&mut self) {}");
-        assert!(rules(&v).contains(&"R5"), "{v:?}");
+    fn r5_requires_par_on_step_faulted_and_bans_interior_mutability() {
+        // A hot step path without the par annotation, in core.
+        let v =
+            run("crates/core/src/cobra.rs", "// cobra-lint: hot\nfn step_faulted(&mut self) {}");
+        assert_eq!(rules(&v), vec!["R5"], "{v:?}");
         // Annotated but touching a RefCell.
-        let bad = "// cobra-lint: par\nfn step_streams(&mut self) { let c = RefCell::new(0); }";
+        let bad = "// cobra-lint: par\nfn shard(&mut self) { let c = RefCell::new(0); }";
         let v = run("crates/core/src/cobra.rs", bad);
         assert_eq!(rules(&v), vec!["R5"], "{v:?}");
         assert!(v[0].message.contains("RefCell"), "{v:?}");
         // static mut is shared state too.
-        let bad = "// cobra-lint: par\nfn step_streams(&mut self) { static mut N: u32 = 0; }";
+        let bad = "// cobra-lint: par\nfn shard(&mut self) { static mut N: u32 = 0; }";
         assert_eq!(rules(&run("crates/core/src/cobra.rs", bad)), vec!["R5"]);
-        // Clean par fn: shard-local buffers only.
-        let ok = "// cobra-lint: par\nfn step_streams(&mut self) { self.scratch.clear(); }";
+        // Clean step path: hot and par, shard-local buffers only.
+        let ok = "// cobra-lint: hot\n// cobra-lint: par\n\
+                  fn step_faulted(&mut self) { self.scratch.clear(); }";
         assert!(run("crates/core/src/cobra.rs", ok).is_empty());
         // A documented exception is honoured.
-        let allowed = "// cobra-lint: par\nfn step_streams(&mut self) {\n    \
+        let allowed = "// cobra-lint: par\nfn shard(&mut self) {\n    \
              let c = Cell::new(0); // cobra-lint: allow(R5, never crosses a shard)\n}";
         assert!(run("crates/core/src/cobra.rs", allowed).is_empty());
         // The obligation is scoped to core; the ban follows the annotation anywhere.
-        assert!(run("crates/stats/src/x.rs", "fn step_streams(&mut self) {}").is_empty());
+        assert!(run("crates/stats/src/x.rs", "fn step_faulted(&mut self) {}").is_empty());
         let bad = "// cobra-lint: par\nfn shard(&self) { let r: Rc<u8> = Rc::new(1); }";
         assert!(rules(&run("crates/stats/src/x.rs", bad)).contains(&"R5"));
     }

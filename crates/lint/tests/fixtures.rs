@@ -1,4 +1,4 @@
-//! Per-rule fixture suite: for every rule R0–R4 a bad snippet must fire and an
+//! Per-rule fixture suite: for every rule R0–R5 a bad snippet must fire and an
 //! annotated/idiomatic snippet must pass. The fixture sources live under
 //! `tests/fixtures/` (a directory, so cargo does not compile them and `--workspace`
 //! does not scan them) and are linted through [`cobra_lint::lint_source`] with
@@ -71,6 +71,14 @@ fn r3_bad_fixture_fires_on_missing_hot_and_on_hot_allocation() {
 }
 
 #[test]
+fn r3_shard_bad_fixture_fires_on_allocation_inside_a_hot_shard_closure() {
+    let v = lint_source("crates/core/src/fixture.rs", include_str!("fixtures/r3_shard_bad.rs"));
+    assert_eq!(v.len(), 1, "{v:?}");
+    assert_eq!(v[0].rule, "R3", "{v:?}");
+    assert!(v[0].message.contains("with_capacity"), "{v:?}");
+}
+
+#[test]
 fn r3_ok_fixture_is_clean_with_hot_annotation_and_scratch_reuse() {
     let v = lint_source("crates/core/src/fixture.rs", include_str!("fixtures/r3_ok.rs"));
     assert!(v.is_empty(), "{v:?}");
@@ -114,7 +122,7 @@ fn r4_ok_fixture_is_clean_with_draw_contracts() {
 fn r5_bad_fixture_fires_on_missing_par_and_shared_state() {
     let v = lint_source("crates/core/src/fixture.rs", include_str!("fixtures/r5_bad.rs"));
     let r5: Vec<_> = v.iter().filter(|v| v.rule == "R5").collect();
-    // Unannotated step_streams + RefCell + Rc (twice: annotation and construction) +
+    // step_faulted without par + RefCell + Rc (twice: annotation and construction) +
     // static mut inside the par fn.
     assert!(r5.len() >= 4, "{v:?}");
     assert!(
@@ -129,7 +137,7 @@ fn r5_bad_fixture_fires_on_missing_par_and_shared_state() {
         r5.iter().any(|v| v.message.contains("static")),
         "static-mut diagnostic expected: {v:?}"
     );
-    // The step_streams obligation is scoped to crates/core.
+    // The step_faulted obligation is scoped to crates/core.
     let elsewhere = lint_source("crates/stats/src/fixture.rs", include_str!("fixtures/r5_bad.rs"));
     assert!(
         !elsewhere.iter().any(|v| v.message.contains("annotate it")),

@@ -1,7 +1,8 @@
 // R3 fixture: an unannotated step_faulted (mandatory hot path) and a hot fn that allocates.
 impl SpreadingProcess for Demo {
-    fn step_faulted(&mut self, rng: &mut dyn RngCore, faults: &StepFaults<'_>) {
-        self.advance(rng, faults);
+    // cobra-lint: par
+    fn step_faulted(&mut self, draws: Draws<'_>, faults: &StepFaults<'_>) {
+        self.advance(draws, faults);
     }
 }
 

@@ -1,8 +1,9 @@
-// R5 fixture: an unannotated step_streams (mandatory par path) and a par fn that routes
-// shard results through single-threaded shared state instead of the engine's merge.
+// R5 fixture: a hot step_faulted without par (mandatory par path) and a par fn that
+// routes shard results through single-threaded shared state instead of the engine's merge.
 impl SpreadingProcess for Demo {
-    fn step_streams(&mut self, engine: &ParallelFrontier, faults: &StepFaults<'_>) -> Result<()> {
-        self.advance(engine, faults)
+    // cobra-lint: hot
+    fn step_faulted(&mut self, draws: Draws<'_>, faults: &StepFaults<'_>) {
+        self.advance(draws, faults);
     }
 }
 

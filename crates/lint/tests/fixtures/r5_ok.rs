@@ -1,21 +1,27 @@
-// R5 fixture: the sharded step path annotated par, shard results flowing back through the
-// engine's ordered merge — no shared cells, plus one documented membership-only exception.
+// R5 fixture: the step path annotated hot and par, its stream-mode shard results flowing
+// back through the engine's ordered merge — no shared cells, plus one documented
+// membership-only exception.
 impl SpreadingProcess for Demo {
+    // cobra-lint: hot
     // cobra-lint: par
-    fn step_streams(&mut self, engine: &ParallelFrontier, faults: &StepFaults<'_>) -> Result<()> {
+    // cobra-lint: draws(bounded)
+    fn step_faulted(&mut self, draws: Draws<'_>, faults: &StepFaults<'_>) {
         self.newly.clear();
         let graph = self.graph;
-        let shards = engine.fan_out(&self.frontier, |_, chunk| {
-            let mut proposals = Vec::with_capacity(chunk.len());
-            for &u in chunk {
-                proposals.extend(graph.neighbors(u));
+        match draws {
+            Draws::Trial(rng) => self.advance(rng, faults),
+            Draws::Streams(engine) => {
+                let frontier = &self.frontier;
+                let shards = engine.shard_buffers(frontier.len(), |range, proposals| {
+                    for &u in &frontier[range] {
+                        proposals.extend(graph.neighbors(u));
+                    }
+                });
+                for target in shards.into_iter().flatten() {
+                    self.next_active.insert(target);
+                }
             }
-            proposals
-        });
-        for target in shards.into_iter().flatten() {
-            self.next_active.insert(target);
         }
-        Ok(())
     }
 }
 

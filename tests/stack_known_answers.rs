@@ -233,7 +233,7 @@ fn stream_trial(
     let inner = spec.build(graph).expect("stack builds");
     let key = VertexStreams::new([seed as u8 ^ 0x5A; 32]);
     let engine = ParallelFrontier::new(key, 1).expect("one thread");
-    let mut p = ParallelProcess::new(inner, engine).expect("stacks support streams");
+    let mut p = ParallelProcess::new(inner, engine);
     let mut ledger = Ledger::new(process, spec);
     let mut unused = ChaCha12Rng::seed_from_u64(0);
     fold_round(hash, &p);
