@@ -157,11 +157,15 @@ struct NextRound<'a> {
     newly: &'a mut Vec<VertexId>,
 }
 
+// Always inlined: called from both draw sources, they would otherwise become out-of-line
+// calls per transmission.
 impl Infections for NextRound<'_> {
+    #[inline(always)]
     fn is_open(&self, v: VertexId) -> bool {
         !self.next.contains(v)
     }
 
+    #[inline(always)]
     fn infect(&mut self, v: VertexId) {
         // A survivor was infected this round, so it is never a new activation.
         if self.next.insert(v) && !self.infected.contains(v) {
@@ -186,7 +190,7 @@ impl Spreader<'_> {
     // cobra-lint: hot
     // cobra-lint: draws(bounded)
     #[inline]
-    fn spread<R: RngCore + ?Sized>(&self, u: VertexId, rng: &mut R, next: &mut impl Infections) {
+    fn spread<R: RngCore>(&self, u: VertexId, rng: &mut R, next: &mut impl Infections) {
         // A crashed vertex stays ill without infecting anyone (recovery still applies).
         if !self.faults.is_crashed(u) {
             // An i.i.d.-dropped transmission composes into one Bernoulli draw with the
@@ -231,9 +235,9 @@ impl SpreadingProcess for ContactProcess<'_> {
         match draws {
             // The frontier is ascending, so transmission/recovery draws happen in the dense
             // engine's vertex order and the RNG streams stay identical.
-            Draws::Trial(rng) => {
+            Draws::Trial(mut rng) => {
                 for &u in &self.frontier {
-                    spreader.spread(u, rng, &mut next);
+                    spreader.spread(u, &mut rng, &mut next);
                 }
             }
             // Sender `u` draws from its own `(vertex, round)` stream. Each shard records
@@ -246,7 +250,9 @@ impl SpreadingProcess for ContactProcess<'_> {
                         spreader.spread(u, &mut engine.stream(u as u64, round), inserts);
                     }
                 });
-                shards.into_iter().flatten().for_each(|v| next.infect(v));
+                for v in shards.into_iter().flatten() {
+                    next.infect(v);
+                }
             }
         }
         if let Some(source) = pinned {

@@ -111,7 +111,7 @@ impl Walker<'_> {
     // cobra-lint: hot
     // cobra-lint: draws(bounded)
     #[inline]
-    fn land<R: RngCore + ?Sized>(&self, from: VertexId, rng: &mut R) -> VertexId {
+    fn land<R: RngCore>(&self, from: VertexId, rng: &mut R) -> VertexId {
         if self.faults.is_crashed(from) || self.faults.drops_from(rng, from) {
             return from;
         }
@@ -127,6 +127,34 @@ impl Walker<'_> {
     }
 }
 
+/// The next-round occupancy a landed walker joins: written inline by sequential walkers,
+/// and the one merge of stream mode's shard buffers.
+struct NextRound<'a> {
+    next: &'a mut VertexBitset,
+    list: &'a mut Vec<VertexId>,
+    active: &'a VertexBitset,
+    newly: &'a mut Vec<VertexId>,
+    visited: &'a mut VertexBitset,
+    num_visited: &'a mut usize,
+}
+
+impl NextRound<'_> {
+    // Always inlined: called from both draw sources, it would otherwise become an
+    // out-of-line call per walker.
+    #[inline(always)]
+    fn occupy(&mut self, p: VertexId) {
+        if self.next.insert(p) {
+            self.list.push(p);
+            if !self.active.contains(p) {
+                self.newly.push(p);
+            }
+            if self.visited.insert(p) {
+                *self.num_visited += 1;
+            }
+        }
+    }
+}
+
 impl SpreadingProcess for MultipleRandomWalks<'_> {
     // cobra-lint: hot
     // cobra-lint: par
@@ -137,22 +165,19 @@ impl SpreadingProcess for MultipleRandomWalks<'_> {
         self.next_list.clear();
         self.newly.clear();
         let walker = Walker { graph: self.graph, faults };
-        let mut occupy = |p: VertexId| {
-            if self.next_active.insert(p) {
-                self.next_list.push(p);
-                if !self.active.contains(p) {
-                    self.newly.push(p);
-                }
-                if self.visited.insert(p) {
-                    self.num_visited += 1;
-                }
-            }
+        let mut next = NextRound {
+            next: &mut self.next_active,
+            list: &mut self.next_list,
+            active: &self.active,
+            newly: &mut self.newly,
+            visited: &mut self.visited,
+            num_visited: &mut self.num_visited,
         };
         match draws {
-            Draws::Trial(rng) => {
+            Draws::Trial(mut rng) => {
                 for position in &mut self.positions {
-                    *position = walker.land(*position, rng);
-                    occupy(*position);
+                    *position = walker.land(*position, &mut rng);
+                    next.occupy(*position);
                 }
             }
             // Walker `i` owns the entity id `i` (keying by *position* would weld co-located
@@ -169,7 +194,7 @@ impl SpreadingProcess for MultipleRandomWalks<'_> {
                     self.positions.iter_mut().zip(shards.into_iter().flatten())
                 {
                     *position = landed;
-                    occupy(landed);
+                    next.occupy(landed);
                 }
             }
         }

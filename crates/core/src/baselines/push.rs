@@ -106,7 +106,7 @@ impl Pusher<'_> {
     // cobra-lint: hot
     // cobra-lint: draws(bounded)
     #[inline]
-    fn send<R: RngCore + ?Sized>(&self, u: VertexId, rng: &mut R) -> Option<VertexId> {
+    fn send<R: RngCore>(&self, u: VertexId, rng: &mut R) -> Option<VertexId> {
         if self.faults.drops_from(rng, u) {
             return None;
         }
@@ -141,10 +141,10 @@ impl SpreadingProcess for PushProcess<'_> {
             }
         };
         match draws {
-            Draws::Trial(rng) => {
+            Draws::Trial(mut rng) => {
                 for &u in &self.informed_list {
                     if pusher.sends(u) {
-                        deliver(pusher.send(u, rng));
+                        deliver(pusher.send(u, &mut rng));
                     }
                 }
             }
@@ -159,7 +159,9 @@ impl SpreadingProcess for PushProcess<'_> {
                         }
                     }
                 });
-                shards.into_iter().flatten().for_each(deliver);
+                for message in shards.into_iter().flatten() {
+                    deliver(message);
+                }
             }
         }
         if !self.newly.is_empty() {
@@ -308,7 +310,7 @@ impl Caller<'_> {
     // cobra-lint: hot
     // cobra-lint: draws(bounded)
     #[inline]
-    fn call<R: RngCore + ?Sized>(&self, u: VertexId, rng: &mut R) -> Option<VertexId> {
+    fn call<R: RngCore>(&self, u: VertexId, rng: &mut R) -> Option<VertexId> {
         let partner = *sample::sample_slice(self.graph.neighbors(u), rng)
             .expect("neighbour slice is non-empty");
         // Crash disables transmission only: a crashed vertex neither pushes the rumour
@@ -344,10 +346,10 @@ impl SpreadingProcess for PushPullProcess<'_> {
             }
         };
         match draws {
-            Draws::Trial(rng) => {
+            Draws::Trial(mut rng) => {
                 for u in 0..n {
                     if caller.calls(u) {
-                        record(caller.call(u, rng));
+                        record(caller.call(u, &mut rng));
                     }
                 }
             }
@@ -362,7 +364,9 @@ impl SpreadingProcess for PushPullProcess<'_> {
                         }
                     }
                 });
-                shards.into_iter().flatten().for_each(record);
+                for contact in shards.into_iter().flatten() {
+                    record(contact);
+                }
             }
         }
         self.newly.clear();

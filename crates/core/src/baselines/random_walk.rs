@@ -80,7 +80,7 @@ impl RandomWalk<'_> {
     /// message leaves the token in place for this round.
     // cobra-lint: hot
     // cobra-lint: draws(bounded)
-    fn hop<R: RngCore + ?Sized>(&self, faults: &StepFaults<'_>, rng: &mut R) -> Option<VertexId> {
+    fn hop<R: RngCore>(&self, faults: &StepFaults<'_>, rng: &mut R) -> Option<VertexId> {
         let from = self.position;
         if faults.is_crashed(from) || faults.drops_from(rng, from) {
             return None;
@@ -100,7 +100,7 @@ impl SpreadingProcess for RandomWalk<'_> {
     fn step_faulted(&mut self, draws: Draws<'_>, faults: &StepFaults<'_>) {
         self.newly.clear();
         let hop = match draws {
-            Draws::Trial(rng) => self.hop(faults, rng),
+            Draws::Trial(mut rng) => self.hop(faults, &mut rng),
             // A single walker has nothing to shard: it draws from the stream of its
             // *current position* at this round, so the trajectory is a pure function of the
             // trial key and the walk composes with the sharded processes under one contract.

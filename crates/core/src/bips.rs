@@ -180,7 +180,7 @@ impl Puller<'_> {
     // cobra-lint: hot
     // cobra-lint: draws(bounded)
     #[inline]
-    fn infects<R: RngCore + ?Sized>(&self, u: VertexId, rng: &mut R) -> bool {
+    fn infects<R: RngCore>(&self, u: VertexId, rng: &mut R) -> bool {
         if u == self.source {
             return true;
         }
@@ -209,6 +209,33 @@ impl Puller<'_> {
     }
 }
 
+/// The next-round state an infected vertex is admitted to: written inline by the sequential
+/// scan, and the one merge of stream mode's shard buffers.
+struct NextRound<'a> {
+    next: &'a mut VertexBitset,
+    list: &'a mut Vec<VertexId>,
+    infected: &'a VertexBitset,
+    newly: &'a mut Vec<VertexId>,
+    ever_infected: &'a mut VertexBitset,
+    source: VertexId,
+}
+
+impl NextRound<'_> {
+    // Always inlined: called from both draw sources, it would otherwise become an
+    // out-of-line call per vertex.
+    #[inline(always)]
+    fn admit(&mut self, u: VertexId) {
+        self.next.insert(u);
+        self.list.push(u);
+        if u != self.source {
+            if !self.infected.contains(u) {
+                self.newly.push(u);
+            }
+            self.ever_infected.insert(u);
+        }
+    }
+}
+
 impl SpreadingProcess for BipsProcess<'_> {
     // cobra-lint: hot
     // cobra-lint: par
@@ -228,21 +255,19 @@ impl SpreadingProcess for BipsProcess<'_> {
             infected: &self.infected,
             faults,
         };
-        let mut admit = |u: VertexId| {
-            self.next_infected.insert(u);
-            self.next_list.push(u);
-            if u != source {
-                if !self.infected.contains(u) {
-                    self.newly.push(u);
-                }
-                self.ever_infected.insert(u);
-            }
+        let mut next = NextRound {
+            next: &mut self.next_infected,
+            list: &mut self.next_list,
+            infected: &self.infected,
+            newly: &mut self.newly,
+            ever_infected: &mut self.ever_infected,
+            source,
         };
         match draws {
-            Draws::Trial(rng) => {
+            Draws::Trial(mut rng) => {
                 for u in 0..n {
-                    if puller.infects(u, rng) {
-                        admit(u);
+                    if puller.infects(u, &mut rng) {
+                        next.admit(u);
                     }
                 }
             }
@@ -258,7 +283,9 @@ impl SpreadingProcess for BipsProcess<'_> {
                         }
                     }
                 });
-                shards.into_iter().flatten().for_each(admit);
+                for u in shards.into_iter().flatten() {
+                    next.admit(u);
+                }
             }
         }
         std::mem::swap(&mut self.infected, &mut self.next_infected);

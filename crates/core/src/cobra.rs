@@ -345,12 +345,7 @@ impl Sender<'_> {
     // cobra-lint: hot
     // cobra-lint: draws(bounded)
     #[inline]
-    fn push<R: RngCore + ?Sized>(
-        &self,
-        u: VertexId,
-        rng: &mut R,
-        mut deliver: impl FnMut(VertexId),
-    ) {
+    fn push<R: RngCore>(&self, u: VertexId, rng: &mut R, mut deliver: impl FnMut(VertexId)) {
         let neighbors = self.graph.neighbors(u);
         // `boost` is 1 unless a defense raised it, so the inert path is exactly the
         // original draw arithmetic (Fixed k and budget-table lookups consume zero words
@@ -376,6 +371,32 @@ impl Sender<'_> {
     }
 }
 
+/// The next-round state a delivered push lands in: written inline by sequential senders,
+/// and the one merge of stream mode's shard buffers.
+struct NextRound<'a> {
+    next: &'a mut VertexBitset,
+    active: &'a VertexBitset,
+    newly: &'a mut Vec<VertexId>,
+    visited: &'a mut VertexBitset,
+    num_visited: &'a mut usize,
+}
+
+impl NextRound<'_> {
+    // Always inlined: called from both draw sources, it would otherwise become an
+    // out-of-line call per target.
+    #[inline(always)]
+    fn deliver(&mut self, target: VertexId) {
+        if self.next.insert(target) {
+            if !self.active.contains(target) {
+                self.newly.push(target);
+            }
+            if self.visited.insert(target) {
+                *self.num_visited += 1;
+            }
+        }
+    }
+}
+
 impl SpreadingProcess for CobraProcess<'_> {
     // cobra-lint: hot
     // cobra-lint: par
@@ -389,23 +410,20 @@ impl SpreadingProcess for CobraProcess<'_> {
             boost: self.boost,
             faults,
         };
-        let mut deliver = |target: VertexId| {
-            if self.next_active.insert(target) {
-                if !self.active.contains(target) {
-                    self.newly.push(target);
-                }
-                if self.visited.insert(target) {
-                    self.num_visited += 1;
-                }
-            }
+        let mut next = NextRound {
+            next: &mut self.next_active,
+            active: &self.active,
+            newly: &mut self.newly,
+            visited: &mut self.visited,
+            num_visited: &mut self.num_visited,
         };
         match draws {
             // The frontier is ascending, so the trial RNG's draw order matches the dense
             // engine's 0..n scan exactly.
-            Draws::Trial(rng) => {
+            Draws::Trial(mut rng) => {
                 for &u in &self.frontier {
                     if sender.relays(u) {
-                        sender.push(u, rng, &mut deliver);
+                        sender.push(u, &mut rng, |target| next.deliver(target));
                     }
                 }
             }
@@ -421,7 +439,9 @@ impl SpreadingProcess for CobraProcess<'_> {
                         sender.push(u as VertexId, rng, |target| buffer.push(target));
                     });
                 });
-                shards.into_iter().flatten().for_each(deliver);
+                for target in shards.into_iter().flatten() {
+                    next.deliver(target);
+                }
             }
         }
         // Erase C_t through its own member list, then swap buffers: the erased bitset

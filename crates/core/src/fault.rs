@@ -703,7 +703,7 @@ impl<'a> StepFaults<'a> {
     /// RNG is untouched.
     // cobra-lint: draws(bounded)
     #[inline]
-    pub fn drops_from<R: RngCore + ?Sized>(&self, rng: &mut R, from: VertexId) -> bool {
+    pub fn drops_from(&self, rng: &mut dyn RngCore, from: VertexId) -> bool {
         if self.drop > 0.0 && rng.gen_bool(self.drop) {
             return true;
         }
@@ -739,12 +739,7 @@ impl<'a> StepFaults<'a> {
     /// before target selection.
     // cobra-lint: draws(bounded)
     #[inline]
-    pub fn drops_on_edge<R: RngCore + ?Sized>(
-        &self,
-        rng: &mut R,
-        from: VertexId,
-        to: VertexId,
-    ) -> bool {
+    pub fn drops_on_edge(&self, rng: &mut dyn RngCore, from: VertexId, to: VertexId) -> bool {
         let f = self.edge_drop_probability(from, to);
         f > 0.0 && rng.gen_bool(f)
     }

@@ -22,6 +22,11 @@
 //! [`ParallelProcess`] drives any process — every process and the environment wrapper
 //! support both — in stream mode.
 //!
+//! The kernels are generic over a *sized* RNG: the sequential arm passes `&mut rng` (a
+//! `&mut dyn RngCore` handle), the stream arm the entity's concrete stream. The fault hooks
+//! keep their `&mut dyn RngCore` parameter, so in stream mode it is an unsizing coercion
+//! from the concrete stream type that the compiler devirtualizes and inlines.
+//!
 //! A shard may open its streams one at a time ([`VertexStreams::stream`]) or four per
 //! block-kernel call ([`VertexStreams::for_each_stream`]); the kernel changes how many
 //! blocks one call computes, not the word order or counter layout, so both give the same
