@@ -188,6 +188,7 @@ impl Spreader<'_> {
     /// Draws infected `u`'s transmissions, one Bernoulli per open neighbour, then its
     /// recovery, and records the infections and `u`'s survival in `next`, in that order.
     // cobra-lint: hot
+    // cobra-lint: par
     // cobra-lint: draws(bounded)
     #[inline]
     fn spread<R: RngCore>(&self, u: VertexId, rng: &mut R, next: &mut impl Infections) {

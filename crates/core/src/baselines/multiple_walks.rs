@@ -109,6 +109,7 @@ impl Walker<'_> {
     /// stuck; a dropped move stays in place; a severed cut (or a bad per-edge channel on
     /// the chosen link) blocks the traversal after the target draw.
     // cobra-lint: hot
+    // cobra-lint: par
     // cobra-lint: draws(bounded)
     #[inline]
     fn land<R: RngCore>(&self, from: VertexId, rng: &mut R) -> VertexId {

@@ -104,6 +104,7 @@ impl Pusher<'_> {
     /// Sends the message of a sending `u` and returns its target, or `None` when the
     /// (sent and counted) message is lost.
     // cobra-lint: hot
+    // cobra-lint: par
     // cobra-lint: draws(bounded)
     #[inline]
     fn send<R: RngCore>(&self, u: VertexId, rng: &mut R) -> Option<VertexId> {
@@ -308,6 +309,7 @@ impl Caller<'_> {
     /// partner when `u` pushes, `u` itself when it pulls. `u` initiates both directions,
     /// so the partner draw and either direction's drop draw come from `u`'s RNG.
     // cobra-lint: hot
+    // cobra-lint: par
     // cobra-lint: draws(bounded)
     #[inline]
     fn call<R: RngCore>(&self, u: VertexId, rng: &mut R) -> Option<VertexId> {

@@ -178,6 +178,7 @@ impl Puller<'_> {
     /// probes its `k` samples until one reaches a relaying infected neighbour. The source
     /// and isolated vertices draw nothing.
     // cobra-lint: hot
+    // cobra-lint: par
     // cobra-lint: draws(bounded)
     #[inline]
     fn infects<R: RngCore>(&self, u: VertexId, rng: &mut R) -> bool {

@@ -343,6 +343,7 @@ impl Sender<'_> {
     /// Draws the pushes of a relaying `u` and hands each delivered target to `deliver`, in
     /// draw order.
     // cobra-lint: hot
+    // cobra-lint: par
     // cobra-lint: draws(bounded)
     #[inline]
     fn push<R: RngCore>(&self, u: VertexId, rng: &mut R, mut deliver: impl FnMut(VertexId)) {
