@@ -235,6 +235,16 @@ impl<'g> ParallelProcess<'g> {
     pub fn inner(&self) -> &dyn SpreadingProcess {
         self.inner.as_ref()
     }
+
+    /// Readies the process for its next trial: resets the inner process and redraws the
+    /// stream key from `rng` exactly as [`ParallelFrontier::from_rng`] does (the same four
+    /// words, in the same order), so the reused process runs the trajectory of a fresh
+    /// [`ProcessSpec::build_parallel`](crate::spec::ProcessSpec::build_parallel) on `rng`.
+    // cobra-lint: draws(bounded)
+    pub fn rekey(&mut self, rng: &mut dyn RngCore) {
+        self.inner.reset();
+        self.engine.streams = VertexStreams::from_rng(rng);
+    }
 }
 
 impl SpreadingProcess for ParallelProcess<'_> {

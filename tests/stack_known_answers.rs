@@ -5,15 +5,22 @@
 //! bare); this file pins *absolute* trajectories on one fixed random-regular graph, in
 //! sequential mode and in stream mode (one thread, fixed trial key): five adversity stacks
 //! over five processes, and every process spec bare and under a per-edge channel bank plus
-//! crashes, which reaches the crash and edge-bank hooks of every stepping kernel. Each digest hashes, per round, the round index, the
-//! sorted delta, `num_active` and the coverage count — plus, in sequential mode, the exact
-//! number of RNG words the round drew — and finally the run's defense cost ledger.
+//! crashes, which reaches the crash and edge-bank hooks of every stepping kernel. Each digest
+//! hashes, per round, the round index, the sorted delta, `num_active` and the coverage count
+//! — plus, in sequential mode, the exact number of RNG words the round drew — and finally the
+//! run's defense cost ledger.
 //!
 //! The ledger is recomputed by an observer-side replica of the stack's defense policy: it
 //! observes the same pre-round state through the public [`ProcessView`], takes the same
 //! decisions (the shipped defense policies draw nothing) and charges them with the
 //! processes' documented lever costs. The pins therefore use only the spec/view API and do
 //! not depend on how a wrapper exposes its ledger.
+//!
+//! Every digest is computed twice: with a fresh build per trial, and with one process per
+//! `(spec, stack, mode)` that is `reset` (sequential) or `rekey`ed (stream) between trials,
+//! which is how the drivers reuse processes. In sequential mode 13 of the 43 cells stop every
+//! trial at `MAX_ROUNDS`, 25 complete every trial and 5 mix both, so reuse after incomplete
+//! and after complete trials is covered.
 //!
 //! A mismatch prints the full table of observed digests.
 
@@ -202,21 +209,21 @@ fn fold_round(hash: &mut Fnv, p: &dyn SpreadingProcess) {
 fn sequential_trial(
     process: &'static str,
     spec: &ProcessSpec,
+    p: &mut dyn SpreadingProcess,
     graph: &Graph,
     seed: u64,
     hash: &mut Fnv,
 ) {
-    let mut p = spec.build(graph).expect("stack builds");
     let mut ledger = Ledger::new(process, spec);
     let mut rng = CountingRng::new(ChaCha12Rng::seed_from_u64(seed));
-    fold_round(hash, p.as_ref());
+    fold_round(hash, p);
     for _ in 0..MAX_ROUNDS {
         if p.is_complete() {
             break;
         }
-        ledger.charge(p.as_ref(), graph);
+        ledger.charge(p, graph);
         p.step(&mut rng);
-        fold_round(hash, p.as_ref());
+        fold_round(hash, p);
         hash.word(rng.take_count());
     }
     ledger.fold_into(hash);
@@ -226,32 +233,57 @@ fn sequential_trial(
 fn stream_trial(
     process: &'static str,
     spec: &ProcessSpec,
+    p: &mut ParallelProcess<'_>,
     graph: &Graph,
-    seed: u64,
     hash: &mut Fnv,
 ) {
-    let inner = spec.build(graph).expect("stack builds");
-    let key = VertexStreams::new([seed as u8 ^ 0x5A; 32]);
-    let engine = ParallelFrontier::new(key, 1).expect("one thread");
-    let mut p = ParallelProcess::new(inner, engine);
     let mut ledger = Ledger::new(process, spec);
     let mut unused = ChaCha12Rng::seed_from_u64(0);
-    fold_round(hash, &p);
+    fold_round(hash, p);
     for _ in 0..MAX_ROUNDS {
         if p.is_complete() {
             break;
         }
-        ledger.charge(&p, graph);
+        ledger.charge(p, graph);
         p.step(&mut unused);
-        fold_round(hash, &p);
+        fold_round(hash, p);
     }
     ledger.fold_into(hash);
+}
+
+/// The byte the stream key of trial `seed` repeats.
+fn key_byte(seed: u64) -> u8 {
+    seed as u8 ^ 0x5A
+}
+
+/// An RNG whose every word repeats one key byte, so [`ParallelProcess::rekey`] draws the
+/// same key as `VertexStreams::new([byte; 32])`.
+struct KeyWords(u8);
+
+impl RngCore for KeyWords {
+    fn next_u32(&mut self) -> u32 {
+        u32::from_le_bytes([self.0; 4])
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        u64::from_le_bytes([self.0; 8])
+    }
+}
+
+/// How the trials of one `(spec, stack, mode)` cell get their process.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Build {
+    /// A fresh build per trial.
+    Fresh,
+    /// One build, then `reset` (sequential) or `rekey` (stream) before every trial.
+    Reused,
 }
 
 /// Digests of every `(process, stack)` pair; an empty stack is the bare process.
 fn observe<const P: usize, const S: usize>(
     processes: [&'static str; P],
     stacks: [&str; S],
+    build: Build,
 ) -> [[(u64, u64); S]; P] {
     let graph = graph();
     let mut observed = [[(0u64, 0u64); S]; P];
@@ -260,10 +292,34 @@ fn observe<const P: usize, const S: usize>(
             let text =
                 if stack.is_empty() { process.to_string() } else { format!("{process}+{stack}") };
             let spec: ProcessSpec = text.parse().expect("stack parses");
+            let stream_process = |seed| {
+                let key = VertexStreams::new([key_byte(seed); 32]);
+                let engine = ParallelFrontier::new(key, 1).expect("one thread");
+                ParallelProcess::new(spec.build(&graph).expect("stack builds"), engine)
+            };
+            let mut sequential_p = spec.build(&graph).expect("stack builds");
+            let mut stream_p = stream_process(0);
             let (mut sequential, mut stream) = (Fnv::new(), Fnv::new());
             for seed in 0..TRIALS {
-                sequential_trial(process, &spec, &graph, seed, &mut sequential);
-                stream_trial(process, &spec, &graph, seed, &mut stream);
+                match build {
+                    Build::Fresh => {
+                        sequential_p = spec.build(&graph).expect("stack builds");
+                        stream_p = stream_process(seed);
+                    }
+                    Build::Reused => {
+                        sequential_p.reset();
+                        stream_p.rekey(&mut KeyWords(key_byte(seed)));
+                    }
+                }
+                sequential_trial(
+                    process,
+                    &spec,
+                    sequential_p.as_mut(),
+                    &graph,
+                    seed,
+                    &mut sequential,
+                );
+                stream_trial(process, &spec, &mut stream_p, &graph, &mut stream);
             }
             observed[i][j] = (sequential.0, stream.0);
         }
@@ -288,10 +344,20 @@ fn assert_digests<const P: usize, const S: usize>(
 
 #[test]
 fn adversity_stacks_reproduce_their_recorded_trajectories() {
-    assert_digests(observe(PROCESSES, STACKS), EXPECTED);
+    assert_digests(observe(PROCESSES, STACKS, Build::Fresh), EXPECTED);
 }
 
 #[test]
 fn processes_reproduce_their_recorded_trajectories() {
-    assert_digests(observe(PROCESS_SPECS, PROCESS_STACKS), EXPECTED_PROCESSES);
+    assert_digests(observe(PROCESS_SPECS, PROCESS_STACKS, Build::Fresh), EXPECTED_PROCESSES);
+}
+
+#[test]
+fn reused_adversity_stacks_reproduce_their_recorded_trajectories() {
+    assert_digests(observe(PROCESSES, STACKS, Build::Reused), EXPECTED);
+}
+
+#[test]
+fn reused_processes_reproduce_their_recorded_trajectories() {
+    assert_digests(observe(PROCESS_SPECS, PROCESS_STACKS, Build::Reused), EXPECTED_PROCESSES);
 }
