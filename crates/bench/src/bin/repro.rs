@@ -341,8 +341,9 @@ fn run_ad_hoc(options: &Options, spec: &ProcessSpec) -> ExitCode {
     };
     // Churn re-instantiates the family mid-run, so churned specs get a fresh graph per
     // trial through the fault-aware driver; everything else shares one instance. Either
-    // way, validate here (churned specs against a churn-stripped build on the sample
-    // instance) so user input fails with a message instead of panicking mid-trial.
+    // way the spec is validated before any trial runs (churned specs against a churn-stripped
+    // build on the sample instance, the rest by the driver's own first build), so user input
+    // fails with a message instead of panicking mid-trial.
     let churned = spec.fault_plan().and_then(|plan| plan.churn).is_some();
     if churned && options.threads.is_some() {
         eprintln!(
@@ -351,35 +352,26 @@ fn run_ad_hoc(options: &Options, spec: &ProcessSpec) -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    let validation_spec = if churned { spec.clone().with_churn(None) } else { spec.clone() };
-    if let Err(error) = validation_spec.build(&graph) {
-        eprintln!("error: cannot run {spec} on {family}: {error}");
-        return ExitCode::FAILURE;
-    }
 
     let runner = Runner::new(max_rounds);
     let label = format!("{spec}@{family}");
+    let config = TrialConfig::parallel(trials);
     let outcomes = if churned {
-        driver::run_adverse_trials(
-            &family,
-            spec,
-            &runner,
-            &seq,
-            &label,
-            TrialConfig::parallel(trials),
-        )
+        spec.clone()
+            .with_churn(None)
+            .build(&graph)
+            .map(|_| driver::run_adverse_trials(&family, spec, &runner, &seq, &label, config))
     } else if let Some(threads) = options.threads {
-        driver::run_parallel_spec_trials(
-            &graph,
-            spec,
-            &runner,
-            &seq,
-            &label,
-            TrialConfig::parallel(trials),
-            threads,
-        )
+        driver::try_run_parallel_spec_trials(&graph, spec, &runner, &seq, &label, config, threads)
     } else {
-        driver::run_spec_trials(&graph, spec, &runner, &seq, &label, TrialConfig::parallel(trials))
+        driver::try_run_spec_trials(&graph, spec, &runner, &seq, &label, config)
+    };
+    let outcomes = match outcomes {
+        Ok(outcomes) => outcomes,
+        Err(error) => {
+            eprintln!("error: cannot run {spec} on {family}: {error}");
+            return ExitCode::FAILURE;
+        }
     };
     let completed: Vec<f64> =
         outcomes.iter().filter_map(|o| o.completion_rounds()).map(|rounds| rounds as f64).collect();

@@ -173,6 +173,15 @@ pub trait SpreadingProcess {
 
     /// Resets the process to its initial state (round 0) so the same allocation can be reused
     /// across Monte-Carlo trials.
+    ///
+    /// This is a contract: after `reset` the process is in exactly the state of a fresh build
+    /// of the same spec on the same graph, whatever the previous trial did to it (completed,
+    /// stopped at a budget, boosted, re-seeded, crashed vertices). The next trial then draws
+    /// the same words and follows the same trajectory as on a fresh build. The Monte-Carlo
+    /// drivers, `repro serve` and E11 keep one process per worker and call `reset` before
+    /// every trial, so any state `reset` forgets leaks from one trial into the next; the
+    /// reused-process pins of `tests/stack_known_answers.rs` check this for every process
+    /// under every adversity stack.
     fn reset(&mut self);
 }
 

@@ -301,7 +301,7 @@ impl ProcessSpec {
     ///
     /// The returned box borrows the graph (processes hold `&Graph`), so it lives at most as
     /// long as `graph`; it is `Send`, which lets Monte-Carlo drivers build one process per
-    /// parallel trial.
+    /// trial worker.
     ///
     /// # Errors
     ///

@@ -3,17 +3,25 @@
 //! [`cobra_stats::parallel`].
 //!
 //! Experiments describe *what* to measure as data — a graph, a [`ProcessSpec`], a [`Runner`]
-//! (budget + stop condition) — and this module runs the trials. One process is instantiated
-//! per trial from the spec, so trials are independent and the rayon-parallel execution stays
-//! bit-for-bit deterministic (each trial's RNG derives from `(master seed, label, index)`).
+//! (budget + stop condition) — and this module runs the trials. Each trial worker builds one
+//! process from the spec and resets it before every trial (stream mode rekeys it), and a reset
+//! restores exactly the state of a fresh build, so trials stay independent and the parallel
+//! execution stays bit-for-bit deterministic (each trial's RNG derives from
+//! `(master seed, label, index)`). The build that validates the spec is the calling thread's
+//! process, so a batch on `t` workers builds `t` processes. Churned specs re-instantiate the
+//! graph, and with it the process, in every trial ([`run_adverse_trials`]).
+
+use std::sync::Mutex;
 
 use cobra_core::fault;
+use cobra_core::parallel::{ParallelFrontier, ParallelProcess};
 use cobra_core::sim::{RunOutcome, Runner};
 use cobra_core::spec::ProcessSpec;
 use cobra_graph::generators::GraphFamily;
+use cobra_graph::sample::VertexStreams;
 use cobra_graph::Graph;
-use cobra_stats::parallel::{run_trials, TrialConfig};
-use cobra_stats::rng::SeedSequence;
+use cobra_stats::parallel::{run_trials, run_trials_with, TrialConfig};
+use cobra_stats::rng::{SeedSequence, TrialRng};
 use cobra_stats::summary::Summary;
 
 /// Runs `config.trials` independent runs of `spec` on `graph` and returns the raw outcomes
@@ -43,7 +51,8 @@ pub fn run_spec_trials(
 ///
 /// # Errors
 ///
-/// Propagates the [`ProcessSpec::build`] validation error, before any trial runs.
+/// Propagates the [`ProcessSpec::build`] validation error, before any trial runs (also for
+/// zero trials).
 pub fn try_run_spec_trials(
     graph: &Graph,
     spec: &ProcessSpec,
@@ -52,19 +61,29 @@ pub fn try_run_spec_trials(
     label: &str,
     config: TrialConfig,
 ) -> cobra_core::Result<Vec<RunOutcome>> {
-    // Validate once before fanning out: `build` is deterministic for a fixed graph, so a
-    // spec that builds here builds in every trial.
-    spec.build(graph)?;
-    Ok(run_trials(seq, label, config, |_, rng| {
-        let mut process = spec.build(graph).expect("spec validated above");
-        runner.run(process.as_mut(), rng)
-    }))
+    // `build` is deterministic for a fixed graph, so a spec that builds here builds on every
+    // worker.
+    let first = spec.build(graph)?;
+    Ok(run_reused(
+        first,
+        || spec.build(graph).expect("spec validated above"),
+        seq,
+        label,
+        config,
+        |process, rng| {
+            process.reset();
+            runner.run(process.as_mut(), rng)
+        },
+    ))
 }
 
-/// [`run_spec_trials`] on the sharded stream engine: every trial builds its process through
-/// [`ProcessSpec::build_parallel`], deriving the trial's per-vertex stream key from the trial
-/// RNG, and every round steps the same round body as the sequential engine with a
-/// per-entity stream draw source, sharded across `threads` scoped worker threads.
+/// [`run_spec_trials`] on the sharded stream engine: every trial runs a stream-mode process
+/// whose per-vertex stream key is drawn from the trial RNG exactly as
+/// [`ProcessSpec::build_parallel`] draws it, and every round steps the same round body as
+/// the sequential engine with a per-entity stream draw source, sharded across `threads`
+/// scoped worker threads. Each trial worker builds one [`ParallelProcess`] and
+/// [`rekey`](ParallelProcess::rekey)s it before every trial, so the outcomes equal a fresh
+/// `build_parallel` per trial.
 ///
 /// The contract (equivalence v2) is that `threads` is *not observable*: trajectories are
 /// bit-identical for any `threads >= 1`, because vertex streams are keyed by
@@ -85,15 +104,73 @@ pub fn run_parallel_spec_trials(
     config: TrialConfig,
     threads: usize,
 ) -> Vec<RunOutcome> {
-    // Validate once, loudly, before fanning out (a throwaway RNG: only the per-trial
-    // builds below feed real stream keys).
-    let mut probe = seq.trial_rng(label, u64::MAX);
-    spec.build_parallel(graph, threads, &mut probe)
-        .unwrap_or_else(|e| panic!("invalid stream-mode spec {spec} for {label}: {e}"));
-    run_trials(seq, label, config, |_, rng| {
-        let mut process = spec.build_parallel(graph, threads, rng).expect("spec validated above");
-        runner.run(process.as_mut(), rng)
-    })
+    try_run_parallel_spec_trials(graph, spec, runner, seq, label, config, threads)
+        .unwrap_or_else(|e| panic!("invalid stream-mode spec {spec} for {label}: {e}"))
+}
+
+/// [`run_parallel_spec_trials`] with the build error returned instead of raised, mirroring
+/// [`try_run_spec_trials`].
+///
+/// # Errors
+///
+/// Propagates the [`ProcessSpec::build_parallel`] validation error, before any trial runs
+/// (also for zero trials).
+pub fn try_run_parallel_spec_trials(
+    graph: &Graph,
+    spec: &ProcessSpec,
+    runner: &Runner,
+    seq: &SeedSequence,
+    label: &str,
+    config: TrialConfig,
+    threads: usize,
+) -> cobra_core::Result<Vec<RunOutcome>> {
+    let build = || -> cobra_core::Result<ParallelProcess<'_>> {
+        let inner = spec.build(graph)?;
+        // A placeholder key: every trial rekeys the process before its first step.
+        let engine = ParallelFrontier::new(VertexStreams::new([0; 32]), threads)?;
+        Ok(ParallelProcess::new(inner, engine))
+    };
+    let first = build()?;
+    Ok(run_reused(
+        first,
+        || build().expect("spec validated above"),
+        seq,
+        label,
+        config,
+        |process, rng| {
+            process.rekey(rng);
+            runner.run(process, rng)
+        },
+    ))
+}
+
+/// Runs the trials with one process per worker: `first` (the validation build) goes to the
+/// first worker to start, every other worker calls `build` once, and `trial` readies and runs
+/// the worker's process for each trial of its chunk.
+fn run_reused<P, B, F>(
+    first: P,
+    build: B,
+    seq: &SeedSequence,
+    label: &str,
+    config: TrialConfig,
+    trial: F,
+) -> Vec<RunOutcome>
+where
+    P: Send,
+    B: Fn() -> P + Sync,
+    F: Fn(&mut P, &mut TrialRng) -> RunOutcome + Sync,
+{
+    let first = Mutex::new(Some(first));
+    run_trials_with(
+        seq,
+        label,
+        config,
+        || {
+            let taken = first.lock().expect("no worker panics while holding the lock").take();
+            taken.unwrap_or_else(&build)
+        },
+        |process, _, rng| trial(process, rng),
+    )
 }
 
 /// Runs trials of `spec` and aggregates the completion rounds into a [`Summary`], returning
@@ -195,6 +272,7 @@ fn summarize_completions(outcomes: &[RunOutcome]) -> (Summary, Vec<f64>) {
 mod tests {
     use super::*;
     use cobra_core::sim::StopReason;
+    use cobra_core::CoreError;
     use cobra_graph::generators;
 
     #[test]
@@ -324,7 +402,6 @@ mod tests {
 
     #[test]
     fn try_variants_return_structured_errors_instead_of_panicking() {
-        use cobra_core::CoreError;
         let graph = generators::complete(16).unwrap();
         let runner = Runner::new(10);
         let seq = SeedSequence::new(3);
@@ -363,6 +440,75 @@ mod tests {
             ok,
             run_spec_trials(&graph, &spec, &runner, &seq, "ok", TrialConfig::sequential(3))
         );
+    }
+
+    #[test]
+    fn reused_processes_match_a_fresh_build_per_trial() {
+        let seq = SeedSequence::new(16);
+        let family = GraphFamily::RandomRegular { n: 64, r: 4 };
+        let graph = family.instantiate(&mut seq.trial_rng("graph", 0)).unwrap();
+        // A budget the walks exhaust and COBRA beats, so reuse follows both kinds of stop.
+        let runner = Runner::new(40);
+        for spec in ProcessSpec::examples() {
+            let label = spec.to_string();
+            let fresh: Vec<RunOutcome> = (0..16)
+                .map(|i| {
+                    let mut rng = seq.trial_rng(&label, i);
+                    runner.run(spec.build(&graph).unwrap().as_mut(), &mut rng)
+                })
+                .collect();
+            for config in [TrialConfig::parallel(16), TrialConfig::sequential(16)] {
+                let reused = run_spec_trials(&graph, &spec, &runner, &seq, &label, config);
+                assert_eq!(reused, fresh, "{spec} at {config:?}");
+            }
+            let fresh_streams: Vec<RunOutcome> = (0..16)
+                .map(|i| {
+                    let mut rng = seq.trial_rng(&label, i);
+                    let mut process = spec.build_parallel(&graph, 2, &mut rng).unwrap();
+                    runner.run(process.as_mut(), &mut rng)
+                })
+                .collect();
+            for threads in [1, 3] {
+                let config = TrialConfig::parallel(16);
+                let reused =
+                    run_parallel_spec_trials(&graph, &spec, &runner, &seq, &label, config, threads);
+                assert_eq!(reused, fresh_streams, "{spec} in stream mode at {threads} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn build_errors_come_back_before_any_trial_runs() {
+        let graph = generators::complete(16).unwrap();
+        let runner = Runner::new(10);
+        let seq = SeedSequence::new(3);
+        let bad_start = ProcessSpec::cobra(2).unwrap().with_start(99);
+        let too_many_crashes: ProcessSpec = "cobra:k=2+crash=40".parse().unwrap();
+        for trials in [0, 2] {
+            for config in [TrialConfig::sequential(trials), TrialConfig::parallel(trials)] {
+                let error = try_run_spec_trials(&graph, &bad_start, &runner, &seq, "bad", config)
+                    .unwrap_err();
+                assert_eq!(error.to_string(), "vertex 99 out of range for graph with 16 vertices");
+                let error =
+                    try_run_spec_trials(&graph, &too_many_crashes, &runner, &seq, "bad", config)
+                        .unwrap_err();
+                assert_eq!(
+                    error.to_string(),
+                    "invalid process parameters: crash=40 exceeds the 15 crashable vertices (graph has \
+                     16, the start vertex never crashes)"
+                );
+                let error = try_run_parallel_spec_trials(
+                    &graph, &bad_start, &runner, &seq, "bad", config, 2,
+                )
+                .unwrap_err();
+                assert!(matches!(error, CoreError::VertexOutOfRange { vertex: 99, .. }));
+                let spec = ProcessSpec::cobra(2).unwrap();
+                let error =
+                    try_run_parallel_spec_trials(&graph, &spec, &runner, &seq, "bad", config, 0)
+                        .unwrap_err();
+                assert!(matches!(error, CoreError::InvalidParameters { .. }), "{error}");
+            }
+        }
     }
 
     #[test]

@@ -24,12 +24,12 @@
 //!    pre-inflates the frontier when growth lags the closed form) and revival needs
 //!    `reseed` — both visible in workload 1.
 
-use cobra_core::sim::Runner;
+use cobra_core::sim::{RunOutcome, Runner};
 use cobra_core::spec::ProcessSpec;
-use cobra_core::{DefenseStats, FaultedProcess};
+use cobra_core::{DefenseStats, FaultedProcess, SpreadingProcess};
 use cobra_graph::generators::GraphFamily;
 use cobra_graph::Graph;
-use cobra_stats::parallel::{run_trials, TrialConfig};
+use cobra_stats::parallel::{run_trials_with, TrialConfig};
 use cobra_stats::rng::SeedSequence;
 use cobra_stats::summary::Summary;
 use cobra_stats::table::{fmt_float, Table};
@@ -137,23 +137,37 @@ fn measure_cell(
     label: &str,
     trials: usize,
 ) -> CellOutcome {
-    let outcomes: Vec<(f64, DefenseStats)> =
-        run_trials(seq, label, TrialConfig::parallel(trials), |_, rng| match spec {
-            ProcessSpec::Faulted { inner, plan } => {
-                let mut process = FaultedProcess::new(inner, plan, graph)
-                    .unwrap_or_else(|e| panic!("invalid E11 spec {spec}: {e}"));
-                let outcome = runner.run(&mut process, rng);
-                let rounds = if outcome.completed() { outcome.rounds as f64 } else { f64::NAN };
-                (rounds, process.stats())
-            }
-            _ => {
-                let mut process =
-                    spec.build(graph).unwrap_or_else(|e| panic!("invalid E11 spec {spec}: {e}"));
-                let outcome = runner.run(process.as_mut(), rng);
-                let rounds = if outcome.completed() { outcome.rounds as f64 } else { f64::NAN };
-                (rounds, DefenseStats::default())
-            }
-        });
+    let config = TrialConfig::parallel(trials);
+    let rounds =
+        |outcome: RunOutcome| if outcome.completed() { outcome.rounds as f64 } else { f64::NAN };
+    // One process per worker, reset before each trial; the ledger is read after the trial,
+    // before the next reset clears it.
+    let outcomes: Vec<(f64, DefenseStats)> = match spec {
+        ProcessSpec::Faulted { inner, plan } => run_trials_with(
+            seq,
+            label,
+            config,
+            || {
+                FaultedProcess::new(inner, plan, graph)
+                    .unwrap_or_else(|e| panic!("invalid E11 spec {spec}: {e}"))
+            },
+            |process, _, rng| {
+                process.reset();
+                let outcome = runner.run(process, rng);
+                (rounds(outcome), process.stats())
+            },
+        ),
+        _ => run_trials_with(
+            seq,
+            label,
+            config,
+            || spec.build(graph).unwrap_or_else(|e| panic!("invalid E11 spec {spec}: {e}")),
+            |process, _, rng| {
+                process.reset();
+                (rounds(runner.run(process.as_mut(), rng)), DefenseStats::default())
+            },
+        ),
+    };
     let values: Vec<f64> = outcomes.iter().map(|(rounds, _)| *rounds).collect();
     let completed = values.iter().filter(|v| v.is_finite()).count();
     let mut total_stats = DefenseStats::default();

@@ -29,9 +29,9 @@
 //!
 //! Measurements are **spec-driven**: experiments describe the processes they compare as
 //! [`cobra_core::spec::ProcessSpec`] values (see the protocol table of [`exp_baselines`]) and
-//! hand them to [`driver`], which instantiates one `Box<dyn SpreadingProcess>` per trial and
-//! drives it through the shared [`cobra_core::sim::Runner`] under
-//! `cobra_stats::parallel::run_trials`.
+//! hand them to [`driver`], which instantiates one `Box<dyn SpreadingProcess>` per trial
+//! worker, resets it before each trial and drives it through the shared
+//! [`cobra_core::sim::Runner`] under `cobra_stats::parallel::run_trials_with`.
 //!
 //! The same ad-hoc measurements are available as a service: [`serve`] runs a TCP server
 //! speaking newline-delimited JSON (`repro serve`), with a bounded job queue, a worker-thread

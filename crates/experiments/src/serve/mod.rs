@@ -313,13 +313,15 @@ fn run_job(job: u64, params: &JobParams, scheduler: &Scheduler, graph_cache: &Gr
     };
     // Same policy as the CLI: churned specs re-instantiate per trial through the
     // fault-aware path, everything else shares the cached instance; either way the spec is
-    // validated (churn-stripped) against the sample instance before any trial runs.
+    // validated (churn-stripped) against the sample instance before any trial runs. For an
+    // unchurned spec the validation build is the job's process, reset before every trial.
     let churned = params.spec.fault_plan().and_then(|plan| plan.churn).is_some();
     let validation_spec =
         if churned { params.spec.clone().with_churn(None) } else { params.spec.clone() };
-    if let Err(error) = validation_spec.build(&graph) {
-        return fail(scheduler, job, &error);
-    }
+    let mut process = match validation_spec.build(&graph) {
+        Ok(process) => process,
+        Err(error) => return fail(scheduler, job, &error),
+    };
 
     let runner = Runner::new(params.max_rounds);
     let label = format!("{}@{}", params.spec, params.family);
@@ -349,12 +351,7 @@ fn run_job(job: u64, params: &JobParams, scheduler: &Scheduler, graph_cache: &Gr
                 Err(error) => return fail(scheduler, job, &error),
             }
         } else {
-            let mut process = match params.spec.build(&graph) {
-                Ok(process) => process,
-                // Unreachable after the validation above (build is deterministic for a
-                // fixed graph), but a structured failure beats a worker-killing unwrap.
-                Err(error) => return fail(scheduler, job, &error),
-            };
+            process.reset();
             if params.trace {
                 let mut observers: [&mut dyn Observer; 2] = [&mut coverage, &mut visits];
                 runner.run_observed(process.as_mut(), &mut rng, &mut observers)

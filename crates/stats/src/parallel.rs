@@ -4,8 +4,13 @@
 //! [`SeedSequence`], so the set of results is identical whether trials run sequentially or on
 //! all cores — only their order of completion differs, and the runner re-collects them in
 //! index order.
-
-use rayon::prelude::*;
+//!
+//! Trials are split into contiguous index chunks, one per worker thread
+//! (`trials.div_ceil(threads)` each, `threads = min(cores, trials)`), and the last chunk runs
+//! on the calling thread. [`run_trials_with`] gives every worker one piece of state, built
+//! once and handed to each trial of its chunk in turn: the Monte-Carlo drivers keep one
+//! process per worker there and reset it between trials. A trial's result must not depend on
+//! what earlier trials left in the state, or the results would depend on the chunking.
 
 use crate::rng::{SeedSequence, TrialRng};
 use crate::summary::Summary;
@@ -47,22 +52,40 @@ where
     T: Send,
     F: Fn(usize, &mut TrialRng) -> T + Sync,
 {
-    if config.parallel {
-        (0..config.trials)
-            .into_par_iter()
-            .map(|i| {
-                let mut rng = seq.trial_rng(label, i as u64);
-                trial(i, &mut rng)
+    run_trials_with(seq, label, config, || (), |(), index, rng| trial(index, rng))
+}
+
+/// [`run_trials`] with per-worker state: `init` runs once on each worker thread (once in
+/// total for a sequential configuration, and not at all for zero trials), and
+/// `trial(&mut state, trial_index, rng)` then runs every trial of that worker's contiguous
+/// index chunk in ascending order. Seeding is the same as [`run_trials`], so the results
+/// equal a fresh-state-per-trial loop whenever `trial` leaves nothing in `state` that changes
+/// a later trial.
+pub fn run_trials_with<S, T, I, F>(
+    seq: &SeedSequence,
+    label: &str,
+    config: TrialConfig,
+    init: I,
+    trial: F,
+) -> Vec<T>
+where
+    T: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, &mut TrialRng) -> T + Sync,
+{
+    let threads = if config.parallel { rayon::current_num_threads() } else { 1 };
+    rayon::par_ranges(config.trials, threads, |chunk| {
+        let mut state = init();
+        chunk
+            .map(|index| {
+                let mut rng = seq.trial_rng(label, index as u64);
+                trial(&mut state, index, &mut rng)
             })
-            .collect()
-    } else {
-        (0..config.trials)
-            .map(|i| {
-                let mut rng = seq.trial_rng(label, i as u64);
-                trial(i, &mut rng)
-            })
-            .collect()
-    }
+            .collect::<Vec<T>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 /// Runs trials producing an `f64` measurement and aggregates them into a [`Summary`],
@@ -125,6 +148,57 @@ mod tests {
             run_measured_trials(&seq, "none", TrialConfig::parallel(0), |_, _| 1.0);
         assert_eq!(summary.count(), 0);
         assert!(values.is_empty());
+    }
+
+    #[test]
+    fn state_is_built_once_per_worker_and_seeding_is_unchanged() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let seq = SeedSequence::new(11);
+        let draw = |i: usize, rng: &mut TrialRng| (i, rng.gen::<u64>());
+        let expected = run_trials(&seq, "with", TrialConfig::sequential(37), draw);
+        for config in [TrialConfig::sequential(37), TrialConfig::parallel(37)] {
+            let inits = AtomicUsize::new(0);
+            let results = run_trials_with(
+                &seq,
+                "with",
+                config,
+                || inits.fetch_add(1, Ordering::Relaxed),
+                |_, i, rng| draw(i, rng),
+            );
+            assert_eq!(results, expected);
+            let threads = if config.parallel { rayon::current_num_threads().min(37) } else { 1 };
+            let workers = 37usize.div_ceil(37usize.div_ceil(threads));
+            assert_eq!(inits.into_inner(), workers);
+        }
+        let none = AtomicUsize::new(0);
+        let results: Vec<u8> = run_trials_with(
+            &seq,
+            "with",
+            TrialConfig::parallel(0),
+            || none.fetch_add(1, Ordering::Relaxed),
+            |_, _, _| 0,
+        );
+        assert!(results.is_empty());
+        assert_eq!(none.into_inner(), 0);
+    }
+
+    #[test]
+    fn each_worker_sees_its_chunk_in_ascending_order() {
+        let seq = SeedSequence::new(2);
+        let results = run_trials_with(
+            &seq,
+            "chunks",
+            TrialConfig::parallel(23),
+            Vec::new,
+            |seen: &mut Vec<usize>, i, _| {
+                seen.push(i);
+                seen.clone()
+            },
+        );
+        for (i, seen) in results.iter().enumerate() {
+            assert_eq!(seen.last(), Some(&i));
+            assert!(seen.windows(2).all(|w| w[1] == w[0] + 1), "chunks are contiguous");
+        }
     }
 
     #[test]
