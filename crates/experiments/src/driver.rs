@@ -7,7 +7,7 @@
 //! process from the spec and resets it before every trial (stream mode rekeys it), and a reset
 //! restores exactly the state of a fresh build, so trials stay independent and the parallel
 //! execution stays bit-for-bit deterministic (each trial's RNG derives from
-//! `(master seed, label, index)`). The build that validates the spec is the calling thread's
+//! `(master seed, label, index)`). The build that validates the spec becomes one worker's
 //! process, so a batch on `t` workers builds `t` processes. Churned specs re-instantiate the
 //! graph, and with it the process, in every trial ([`run_adverse_trials`]).
 
@@ -61,12 +61,8 @@ pub fn try_run_spec_trials(
     label: &str,
     config: TrialConfig,
 ) -> cobra_core::Result<Vec<RunOutcome>> {
-    // `build` is deterministic for a fixed graph, so a spec that builds here builds on every
-    // worker.
-    let first = spec.build(graph)?;
-    Ok(run_reused(
-        first,
-        || spec.build(graph).expect("spec validated above"),
+    run_reused(
+        || spec.build(graph),
         seq,
         label,
         config,
@@ -74,7 +70,7 @@ pub fn try_run_spec_trials(
             process.reset();
             runner.run(process.as_mut(), rng)
         },
-    ))
+    )
 }
 
 /// [`run_spec_trials`] on the sharded stream engine: every trial runs a stream-mode process
@@ -130,47 +126,29 @@ pub fn try_run_parallel_spec_trials(
         let engine = ParallelFrontier::new(VertexStreams::new([0; 32]), threads)?;
         Ok(ParallelProcess::new(inner, engine))
     };
-    let first = build()?;
-    Ok(run_reused(
-        first,
-        || build().expect("spec validated above"),
-        seq,
-        label,
-        config,
-        |process, rng| {
-            process.rekey(rng);
-            runner.run(process, rng)
-        },
-    ))
+    run_reused(build, seq, label, config, |process, rng| {
+        process.rekey(rng);
+        runner.run(process, rng)
+    })
 }
 
-/// Runs the trials with one process per worker: `first` (the validation build) goes to the
-/// first worker to start, every other worker calls `build` once, and `trial` readies and runs
-/// the worker's process for each trial of its chunk.
-fn run_reused<P, B, F>(
-    first: P,
-    build: B,
+/// Runs the trials on one process per worker, and `trial` readies and runs a worker's process
+/// for each trial of its chunk. The first `build` validates the spec before any trial runs
+/// and becomes the process of the first worker to start; every other worker builds its own
+/// once. `build` is deterministic for a fixed graph, so it cannot fail after the first call.
+fn run_reused<P: Send>(
+    build: impl Fn() -> cobra_core::Result<P> + Sync,
     seq: &SeedSequence,
     label: &str,
     config: TrialConfig,
-    trial: F,
-) -> Vec<RunOutcome>
-where
-    P: Send,
-    B: Fn() -> P + Sync,
-    F: Fn(&mut P, &mut TrialRng) -> RunOutcome + Sync,
-{
-    let first = Mutex::new(Some(first));
-    run_trials_with(
-        seq,
-        label,
-        config,
-        || {
-            let taken = first.lock().expect("no worker panics while holding the lock").take();
-            taken.unwrap_or_else(&build)
-        },
-        |process, _, rng| trial(process, rng),
-    )
+    trial: impl Fn(&mut P, &mut TrialRng) -> RunOutcome + Sync,
+) -> cobra_core::Result<Vec<RunOutcome>> {
+    let first = Mutex::new(Some(build()?));
+    let init = || {
+        let taken = first.lock().expect("no worker panics while holding the lock").take();
+        taken.unwrap_or_else(|| build().expect("spec validated by the first build"))
+    };
+    Ok(run_trials_with(seq, label, config, init, |process, _, rng| trial(process, rng)))
 }
 
 /// Runs trials of `spec` and aggregates the completion rounds into a [`Summary`], returning

@@ -24,9 +24,9 @@
 //!    pre-inflates the frontier when growth lags the closed form) and revival needs
 //!    `reseed` — both visible in workload 1.
 
-use cobra_core::sim::{RunOutcome, Runner};
+use cobra_core::sim::Runner;
 use cobra_core::spec::ProcessSpec;
-use cobra_core::{DefenseStats, FaultedProcess, SpreadingProcess};
+use cobra_core::{DefenseStats, FaultPlan, FaultedProcess, SpreadingProcess};
 use cobra_graph::generators::GraphFamily;
 use cobra_graph::Graph;
 use cobra_stats::parallel::{run_trials_with, TrialConfig};
@@ -137,37 +137,30 @@ fn measure_cell(
     label: &str,
     trials: usize,
 ) -> CellOutcome {
-    let config = TrialConfig::parallel(trials);
-    let rounds =
-        |outcome: RunOutcome| if outcome.completed() { outcome.rounds as f64 } else { f64::NAN };
+    // A bare spec runs in a benign environment, which is bit-identical to the bare process
+    // and keeps an all-zero ledger.
+    let benign = FaultPlan::default();
+    let (inner, plan) = match spec {
+        ProcessSpec::Faulted { inner, plan } => (inner.as_ref(), plan),
+        bare => (bare, &benign),
+    };
     // One process per worker, reset before each trial; the ledger is read after the trial,
     // before the next reset clears it.
-    let outcomes: Vec<(f64, DefenseStats)> = match spec {
-        ProcessSpec::Faulted { inner, plan } => run_trials_with(
-            seq,
-            label,
-            config,
-            || {
-                FaultedProcess::new(inner, plan, graph)
-                    .unwrap_or_else(|e| panic!("invalid E11 spec {spec}: {e}"))
-            },
-            |process, _, rng| {
-                process.reset();
-                let outcome = runner.run(process, rng);
-                (rounds(outcome), process.stats())
-            },
-        ),
-        _ => run_trials_with(
-            seq,
-            label,
-            config,
-            || spec.build(graph).unwrap_or_else(|e| panic!("invalid E11 spec {spec}: {e}")),
-            |process, _, rng| {
-                process.reset();
-                (rounds(runner.run(process.as_mut(), rng)), DefenseStats::default())
-            },
-        ),
-    };
+    let outcomes: Vec<(f64, DefenseStats)> = run_trials_with(
+        seq,
+        label,
+        TrialConfig::parallel(trials),
+        || {
+            FaultedProcess::new(inner, plan, graph)
+                .unwrap_or_else(|e| panic!("invalid E11 spec {spec}: {e}"))
+        },
+        |process, _, rng| {
+            process.reset();
+            let outcome = runner.run(process, rng);
+            let rounds = if outcome.completed() { outcome.rounds as f64 } else { f64::NAN };
+            (rounds, process.stats())
+        },
+    );
     let values: Vec<f64> = outcomes.iter().map(|(rounds, _)| *rounds).collect();
     let completed = values.iter().filter(|v| v.is_finite()).count();
     let mut total_stats = DefenseStats::default();
