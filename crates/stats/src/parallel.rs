@@ -155,7 +155,8 @@ mod tests {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let seq = SeedSequence::new(11);
         let draw = |i: usize, rng: &mut TrialRng| (i, rng.gen::<u64>());
-        let expected = run_trials(&seq, "with", TrialConfig::sequential(37), draw);
+        let expected: Vec<(usize, u64)> =
+            (0..37).map(|i| draw(i, &mut seq.trial_rng("with", i as u64))).collect();
         for config in [TrialConfig::sequential(37), TrialConfig::parallel(37)] {
             let inits = AtomicUsize::new(0);
             let results = run_trials_with(
