@@ -87,8 +87,10 @@ const HELP_TEXT: &str = "usage: repro [--full|--quick] [--exp e1..e12] [--seed N
      against the dense reference engine per (process, graph) pair, sweeps the\n\
      sharded stream engine across worker threads, and writes the JSON perf\n\
      trajectory. --threads N runs ad-hoc trials on the per-vertex stream\n\
-     engine (trajectories are identical for any N >= 1) or narrows the bench\n\
-     sweep to one worker count.\n\
+     engine, each round cut into N shards (trajectories are identical for any\n\
+     N >= 1), or narrows the bench sweep to one worker count. Trials and shards\n\
+     share one pool of nproc threads: a multi-trial run spends it on trials and\n\
+     runs each trial's shards inline, so shards run in parallel with --trials 1.\n\
      \n\
      `repro serve` exposes the ad-hoc path as a TCP service on 127.0.0.1 speaking\n\
      newline-delimited JSON: requests are one-line objects with a \"cmd\" field\n\

@@ -174,8 +174,9 @@ impl ParallelFrontier {
     }
 
     /// Shards `items` across the engine's threads, collecting each shard's result in shard
-    /// order: `op(shard_base, shard_items)` runs on scoped threads via the vendored rayon.
-    /// Shards are contiguous, so concatenating the results preserves item order.
+    /// order: `op(shard_base, shard_items)` runs on the vendored rayon's persistent worker
+    /// pool, or inline on the caller when the pool is busy (a trial-level fan-out already
+    /// owns it). Shards are contiguous, so concatenating the results preserves item order.
     pub fn fan_out<T, R, F>(&self, items: &[T], op: F) -> Vec<R>
     where
         T: Sync,

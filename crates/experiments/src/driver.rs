@@ -76,10 +76,11 @@ pub fn try_run_spec_trials(
 /// [`run_spec_trials`] on the sharded stream engine: every trial runs a stream-mode process
 /// whose per-vertex stream key is drawn from the trial RNG exactly as
 /// [`ProcessSpec::build_parallel`] draws it, and every round steps the same round body as
-/// the sequential engine with a per-entity stream draw source, sharded across `threads`
-/// scoped worker threads. Each trial worker builds one [`ParallelProcess`] and
-/// [`rekey`](ParallelProcess::rekey)s it before every trial, so the outcomes equal a fresh
-/// `build_parallel` per trial.
+/// the sequential engine with a per-entity stream draw source, cut into `threads` shards.
+/// The shards run on the shared worker pool when this batch is sequential; a parallel batch
+/// spends the pool on trials, and each trial runs its shards inline. Each trial chunk
+/// builds one [`ParallelProcess`] and [`rekey`](ParallelProcess::rekey)s it before every
+/// trial, so the outcomes equal a fresh `build_parallel` per trial.
 ///
 /// The contract (equivalence v2) is that `threads` is *not observable*: trajectories are
 /// bit-identical for any `threads >= 1`, because vertex streams are keyed by
@@ -132,10 +133,11 @@ pub fn try_run_parallel_spec_trials(
     })
 }
 
-/// Runs the trials on one process per worker, and `trial` readies and runs a worker's process
-/// for each trial of its chunk. The first `build` validates the spec before any trial runs
-/// and becomes the process of the first worker to start; every other worker builds its own
-/// once. `build` is deterministic for a fixed graph, so it cannot fail after the first call.
+/// Runs the trials on one process per trial chunk, and `trial` readies and runs a chunk's
+/// process for each of its trials. The first `build` validates the spec before any trial
+/// runs and becomes the process of the first chunk to start; every other chunk builds its
+/// own once. `build` is deterministic for a fixed graph, so it cannot fail after the first
+/// call.
 fn run_reused<P: Send>(
     build: impl Fn() -> cobra_core::Result<P> + Sync,
     seq: &SeedSequence,
@@ -272,31 +274,24 @@ mod tests {
     #[test]
     fn parallel_spec_trials_are_thread_count_invariant() {
         let graph = generators::complete(32).unwrap();
-        let spec = ProcessSpec::cobra(2).unwrap();
         let runner = Runner::new(10_000);
         let seq = SeedSequence::new(5);
-        let base = run_parallel_spec_trials(
-            &graph,
-            &spec,
-            &runner,
-            &seq,
-            "unit",
-            TrialConfig::parallel(8),
-            1,
-        );
-        assert_eq!(base.len(), 8);
-        assert!(base.iter().all(|o| o.reason == StopReason::Completed));
-        for threads in [2, 4] {
-            let other = run_parallel_spec_trials(
-                &graph,
-                &spec,
-                &runner,
-                &seq,
-                "unit",
-                TrialConfig::parallel(8),
-                threads,
-            );
-            assert_eq!(base, other, "trial outcomes diverged at {threads} threads");
+        for spec in ProcessSpec::examples() {
+            let run = |config, threads| {
+                run_parallel_spec_trials(&graph, &spec, &runner, &seq, "unit", config, threads)
+            };
+            let base = run(TrialConfig::sequential(8), 1);
+            assert_eq!(base.len(), 8);
+            if spec == ProcessSpec::cobra(2).unwrap() {
+                assert!(base.iter().all(|o| o.reason == StopReason::Completed));
+            }
+            for threads in [1, 2, 4] {
+                // Trials on the pool with inline shards, then inline trials with pooled shards.
+                let parallel = run(TrialConfig::parallel(8), threads);
+                assert_eq!(parallel, base, "{spec}: parallel batch at {threads} threads");
+                let sequential = run(TrialConfig::sequential(8), threads);
+                assert_eq!(sequential, base, "{spec}: sequential batch at {threads} threads");
+            }
         }
     }
 
@@ -485,6 +480,77 @@ mod tests {
                     try_run_parallel_spec_trials(&graph, &spec, &runner, &seq, "bad", config, 0)
                         .unwrap_err();
                 assert!(matches!(error, CoreError::InvalidParameters { .. }), "{error}");
+            }
+        }
+    }
+
+    /// Every round's newly activated vertices and active count, of one stream-mode trial of
+    /// `spec` at `threads` threads, driven to completion or 40 rounds.
+    fn stream_trace(graph: &Graph, spec: &ProcessSpec, threads: usize) -> Vec<(Vec<usize>, usize)> {
+        let mut rng = SeedSequence::new(17).trial_rng(&spec.to_string(), 0);
+        let mut process = spec.build_parallel(graph, threads, &mut rng).unwrap();
+        let mut trace = Vec::new();
+        while !process.is_complete() && trace.len() < 40 {
+            process.step(&mut rng);
+            trace.push((process.newly_activated().to_vec(), process.num_active()));
+        }
+        trace
+    }
+
+    /// Runs `f` while another thread owns the shard pool, so every fan-out inside `f` runs
+    /// inline. The holder runs two trials that wait for `f` to finish; both running at once
+    /// proves the holder got the pool (a holder that ran inline, because some other test had
+    /// the pool, is retried).
+    fn while_another_thread_holds_the_pool<T>(f: impl Fn() -> T) -> T {
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+        use std::time::{Duration, Instant};
+        for _ in 0..200 {
+            let (running, released) = (AtomicUsize::new(0), AtomicBool::new(false));
+            let outcome = std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    run_trials(&SeedSequence::new(0), "hold", TrialConfig::parallel(2), |_, _| {
+                        running.fetch_add(1, Ordering::SeqCst);
+                        while !released.load(Ordering::SeqCst) {
+                            std::thread::sleep(Duration::from_millis(1));
+                        }
+                    })
+                });
+                let deadline = Instant::now() + Duration::from_millis(200);
+                while running.load(Ordering::SeqCst) < 2 && Instant::now() < deadline {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                let outcome = (running.load(Ordering::SeqCst) == 2).then(&f);
+                released.store(true, Ordering::SeqCst);
+                outcome
+            });
+            if let Some(outcome) = outcome {
+                return outcome;
+            }
+        }
+        panic!("the holder never got the pool");
+    }
+
+    #[test]
+    fn stream_trials_are_identical_on_every_scheduling_path() {
+        let seq = SeedSequence::new(16);
+        let graph = GraphFamily::RandomRegular { n: 64, r: 4 }
+            .instantiate(&mut seq.trial_rng("graph", 0))
+            .unwrap();
+        let multi_core = std::thread::available_parallelism().is_ok_and(|n| n.get() > 1);
+        for spec in ProcessSpec::examples() {
+            let reference = stream_trace(&graph, &spec, 1);
+            assert!(!reference.is_empty(), "{spec} must step");
+            // Alone: the shards fan out on the pool.
+            assert_eq!(stream_trace(&graph, &spec, 4), reference, "{spec} alone");
+            // Nested: each trial worker of a parallel batch runs its shards inline.
+            let nested = run_trials(&seq, "nested", TrialConfig::parallel(4), |_, _| {
+                stream_trace(&graph, &spec, 4)
+            });
+            assert!(nested.iter().all(|trace| *trace == reference), "{spec} nested");
+            // Held: another thread owns the pool, so the shards run inline on this one.
+            if multi_core {
+                let held = while_another_thread_holds_the_pool(|| stream_trace(&graph, &spec, 4));
+                assert_eq!(held, reference, "{spec} while the pool is held");
             }
         }
     }

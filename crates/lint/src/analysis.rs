@@ -25,7 +25,7 @@ use crate::lexer::{Token, TokenKind};
 pub enum Directive {
     /// `hot` — the next function is a hot path: R3 bans allocation inside it.
     Hot,
-    /// `par` — the next function runs inside sharded scoped threads: R5 bans
+    /// `par` — the next function runs inside sharded pool threads: R5 bans
     /// single-threaded interior mutability (`RefCell`/`Cell`/`Rc`/`static mut`) inside it.
     Par,
     /// `draws(0)` — the next function performs no RNG draws on this path.

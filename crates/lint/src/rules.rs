@@ -264,16 +264,19 @@ fn r4_draw_registry(rel_path: &str, a: &FileAnalysis, out: &mut Vec<Violation>) 
 
 // Single-threaded interior-mutability and shared-ownership types: sound under `&self` on
 // one thread, data races (or compile failures surfacing as contorted workarounds) inside
-// sharded scoped-thread closures. `Cell` is only flagged at a `Cell::`/`Cell<` use site so
+// sharded pool-thread closures. `Cell` is only flagged at a `Cell::`/`Cell<` use site so
 // `UnsafeCell` (caught separately) and idents like `OnceCell` don't double-fire.
 const R5_BANNED_TYPES: &[&str] = &["RefCell", "Cell", "UnsafeCell", "OnceCell", "Rc"];
 
 /// R5 — parallel discipline. Functions annotated `// cobra-lint: par` execute inside the
-/// sharded stream engine's scoped threads; they may not touch single-threaded shared state:
-/// `RefCell`/`Cell`/`UnsafeCell`/`OnceCell`/`Rc` or `static mut`. The annotation is
-/// *mandatory* on every `step_faulted` impl in `crates/core` — the one stepping method,
-/// whose stream-mode arm shards its kernel — so a step path cannot silently opt out of the
-/// check (mirroring R3's `hot` obligation on the same fns).
+/// sharded stream engine's pool threads; they may not touch single-threaded shared state:
+/// `RefCell`/`Cell`/`UnsafeCell`/`OnceCell`/`Rc` or `static mut`. The pool's workers are
+/// persistent, so a thread-local or cell that a shard leaves behind outlives the round and
+/// is seen by whichever trial's shard runs on that worker next: the ban is what keeps a
+/// trajectory independent of the schedule. The annotation is *mandatory* on every
+/// `step_faulted` impl in `crates/core` — the one stepping method, whose stream-mode arm
+/// shards its kernel — so a step path cannot silently opt out of the check (mirroring R3's
+/// `hot` obligation on the same fns).
 fn r5_parallel_discipline(rel_path: &str, a: &FileAnalysis, out: &mut Vec<Violation>) {
     // Part 1: every step path must be annotated.
     for f in &a.fns {
@@ -285,8 +288,8 @@ fn r5_parallel_discipline(rel_path: &str, a: &FileAnalysis, out: &mut Vec<Violat
                 "R5",
                 rel_path,
                 f.line,
-                "`step_faulted` runs its stream-mode kernel inside sharded scoped threads: \
-                 annotate it `// cobra-lint: par`"
+                "`step_faulted` runs its stream-mode kernel on persistent pool threads, where \
+                 shared state outlives the round: annotate it `// cobra-lint: par`"
                     .to_string(),
             ));
         }
@@ -311,7 +314,8 @@ fn r5_parallel_discipline(rel_path: &str, a: &FileAnalysis, out: &mut Vec<Violat
                     t.line,
                     format!(
                         "`{name}` is single-threaded shared state inside par fn `{}`; shard \
-                         results must flow through the engine's merge, not shared cells",
+                         results must flow through the engine's merge, not shared cells, which \
+                         outlive the round on persistent pool threads",
                         f.name
                     ),
                 ));

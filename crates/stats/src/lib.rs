@@ -11,7 +11,7 @@
 //! * [`ci`] — normal, Student-t and Wilson confidence intervals,
 //! * [`regression`] — least-squares fits of measured times against `log n` and power laws,
 //! * [`histogram`] — fixed-width histograms of round counts,
-//! * [`parallel`] — a rayon-based trial runner with deterministic seeding,
+//! * [`parallel`] — a trial runner on the shared worker pool with deterministic seeding,
 //! * [`table`] — aligned text tables and CSV emission shared by the experiment binaries.
 //!
 //! # Example

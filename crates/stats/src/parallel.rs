@@ -5,11 +5,13 @@
 //! all cores — only their order of completion differs, and the runner re-collects them in
 //! index order.
 //!
-//! Trials are split into contiguous index chunks, one per worker thread
-//! (`trials.div_ceil(threads)` each, `threads = min(cores, trials)`), and the last chunk runs
-//! on the calling thread. [`run_trials_with`] gives every worker one piece of state, built
-//! once and handed to each trial of its chunk in turn: the Monte-Carlo drivers keep one
-//! process per worker there and reset it between trials. A trial's result must not depend on
+//! Trials are split into contiguous index chunks (`trials.div_ceil(threads)` each,
+//! `threads = min(cores, trials)`), which the caller and the vendored rayon's worker pool
+//! claim one at a time. When the pool is already busy (this batch runs inside another
+//! fan-out, or another thread owns the pool) the chunks run inline on the caller, in order.
+//! [`run_trials_with`] gives every chunk one piece of state, built once and handed to each
+//! trial of the chunk in turn: the Monte-Carlo drivers keep one process per chunk there and
+//! reset it between trials. A trial's result must not depend on
 //! what earlier trials left in the state, or the results would depend on the chunking.
 
 use crate::rng::{SeedSequence, TrialRng};
@@ -20,8 +22,8 @@ use crate::summary::Summary;
 pub struct TrialConfig {
     /// Number of independent trials.
     pub trials: usize,
-    /// Whether to run trials in parallel with rayon (`true` for experiments, `false` inside
-    /// doctests or when deterministic scheduling aids debugging).
+    /// Whether to run trials in parallel on the shared worker pool (`true` for experiments,
+    /// `false` inside doctests or when deterministic scheduling aids debugging).
     pub parallel: bool,
 }
 
@@ -55,10 +57,10 @@ where
     run_trials_with(seq, label, config, || (), |(), index, rng| trial(index, rng))
 }
 
-/// [`run_trials`] with per-worker state: `init` runs once on each worker thread (once in
-/// total for a sequential configuration, and not at all for zero trials), and
-/// `trial(&mut state, trial_index, rng)` then runs every trial of that worker's contiguous
-/// index chunk in ascending order. Seeding is the same as [`run_trials`], so the results
+/// [`run_trials`] with per-worker state: `init` runs once per contiguous index chunk, on
+/// whichever thread claims the chunk (once in total for a sequential configuration, and not
+/// at all for zero trials), and `trial(&mut state, trial_index, rng)` then runs every trial
+/// of that chunk in ascending order. Seeding is the same as [`run_trials`], so the results
 /// equal a fresh-state-per-trial loop whenever `trial` leaves nothing in `state` that changes
 /// a later trial.
 pub fn run_trials_with<S, T, I, F>(
