@@ -9,7 +9,7 @@
 //! out when no source is pinned — which is exactly the behaviour the experiments contrast.
 //!
 //! Transmission is push-style, so a round iterates the explicit infected frontier and costs
-//! `O(Σ_{u ∈ A_t} deg(u) + n/64)` — independent of how many vertices are *healthy*.
+//! `O(Σ_{u ∈ A_t} deg(u) + n/512)` — independent of how many vertices are *healthy*.
 
 use cobra_graph::{Graph, VertexBitset, VertexId};
 use rand::{Rng, RngCore};
@@ -87,7 +87,7 @@ impl<'g> ContactProcess<'g> {
             return Err(CoreError::VertexOutOfRange { vertex: source, num_vertices: n });
         }
         if n > 1 {
-            if let Some(isolated) = graph.vertices().find(|&v| graph.degree(v) == 0) {
+            if let Some(isolated) = graph.first_isolated() {
                 return Err(CoreError::UnsuitableGraph {
                     reason: format!("vertex {isolated} is isolated and can never be infected"),
                 });

@@ -9,7 +9,7 @@
 //! random neighbour.
 //!
 //! Both processes reuse scratch buffers across rounds (no per-round allocation) and iterate
-//! an explicit informed list: a PUSH round costs `O(|informed| + n/64)`, not `O(n)`.
+//! an explicit informed list: a PUSH round costs `O(|informed| + n/512)`, not `O(n)`.
 //! PUSH–PULL inherently scans all `n` vertices (uninformed vertices pull too — that is the
 //! protocol), but its delta/list bookkeeping keeps observers `O(|delta|)`.
 
@@ -30,7 +30,7 @@ fn validate(graph: &Graph, start: VertexId) -> Result<()> {
         return Err(CoreError::VertexOutOfRange { vertex: start, num_vertices: n });
     }
     if n > 1 {
-        if let Some(isolated) = graph.vertices().find(|&v| graph.degree(v) == 0) {
+        if let Some(isolated) = graph.first_isolated() {
             return Err(CoreError::UnsuitableGraph {
                 reason: format!("vertex {isolated} is isolated and can never be informed"),
             });

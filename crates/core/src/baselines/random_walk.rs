@@ -41,7 +41,7 @@ impl<'g> RandomWalk<'g> {
             return Err(CoreError::VertexOutOfRange { vertex: start, num_vertices: n });
         }
         if n > 1 {
-            if let Some(isolated) = graph.vertices().find(|&v| graph.degree(v) == 0) {
+            if let Some(isolated) = graph.first_isolated() {
                 return Err(CoreError::UnsuitableGraph {
                     reason: format!("vertex {isolated} is isolated and can never be visited"),
                 });

@@ -102,7 +102,7 @@ impl<'g> BipsProcess<'g> {
             return Err(CoreError::VertexOutOfRange { vertex: source, num_vertices: n });
         }
         if n > 1 {
-            if let Some(isolated) = graph.vertices().find(|&v| graph.degree(v) == 0) {
+            if let Some(isolated) = graph.first_isolated() {
                 return Err(CoreError::UnsuitableGraph {
                     reason: format!("vertex {isolated} is isolated and can never be infected"),
                 });

@@ -17,8 +17,9 @@
 //! A round iterates the explicit frontier `C_t` (a sorted `Vec<VertexId>`), performs
 //! `k` buffered neighbour samples per member, test-and-sets targets in a scratch
 //! [`VertexBitset`], erases the old active set through the frontier (dirty-list clearing) and
-//! re-materialises the next frontier from the scratch bitset — `O(|C_t|·k + n/64)` total,
-//! instead of the `O(n)` full-vertex scan of a dense engine. The frontier is kept in
+//! re-materialises the next frontier from the scratch bitset, whose occupancy flags let
+//! it visit only the non-zero words — `O(|C_t|·k + n/512)` total, instead of the `O(n)`
+//! full-vertex scan of a dense engine. The frontier is kept in
 //! ascending vertex order so the RNG draw sequence is *identical* to the dense reference
 //! engine in [`crate::reference`] (property-tested).
 
@@ -225,7 +226,7 @@ impl<'g> CobraProcess<'g> {
             return Err(CoreError::VertexOutOfRange { vertex: bad, num_vertices: n });
         }
         if n > 1 {
-            if let Some(isolated) = graph.vertices().find(|&v| graph.degree(v) == 0) {
+            if let Some(isolated) = graph.first_isolated() {
                 return Err(CoreError::UnsuitableGraph {
                     reason: format!("vertex {isolated} is isolated and can never be visited"),
                 });

@@ -58,7 +58,7 @@
 //!
 //! * a process `step` iterates an **explicit frontier** (the current active set as a vertex
 //!   list, ascending) and touches scratch state through a word-level
-//!   [`VertexBitset`](cobra_graph::VertexBitset) — `O(|A_t| · k + n/64)` per round for the
+//!   [`VertexBitset`](cobra_graph::VertexBitset) — `O(|A_t| · k + n/512)` per round for the
 //!   push-style processes (COBRA, PUSH, contact, walks) instead of an `O(n)` dense scan.
 //!   Scratch sets are erased through **dirty lists** (`clear_list`), never `fill(false)`.
 //!   BIPS and the pull half of PUSH–PULL are inherently `Θ(n)` per round (every vertex

@@ -23,7 +23,7 @@ use crate::{CoreError, Result};
 ///
 /// * [`active`](SpreadingProcess::active) exposes the current active set as a word-level
 ///   [`VertexBitset`] — membership tests are `O(1)` and full iteration is
-///   `O(n/64 + |active|)`;
+///   `O(n/512 + |active|)`;
 /// * [`newly_activated`](SpreadingProcess::newly_activated) is the per-round **delta**
 ///   `A_t \ A_{t-1}`: observers that track first visits or cumulative coverage consume it in
 ///   `O(|delta|)`;
@@ -90,7 +90,7 @@ pub trait SpreadingProcess {
 
     /// Calls `f` for every currently active vertex.
     ///
-    /// The default iterates [`active`](Self::active) in `O(n/64 + |active|)`; processes that
+    /// The default iterates [`active`](Self::active) in `O(n/512 + |active|)`; processes that
     /// maintain an explicit frontier list override this with an `O(|active|)` walk.
     fn for_each_active(&self, f: &mut dyn FnMut(VertexId)) {
         self.active().for_each(f);

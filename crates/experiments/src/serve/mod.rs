@@ -167,14 +167,22 @@ fn read_line_limited(reader: &mut BufReader<TcpStream>) -> std::io::Result<LineR
     Ok(LineRead::Line(String::from_utf8_lossy(&buf).trim().to_string()))
 }
 
-/// Sends `event` and its newline in one write. Two small writes on a Nagle socket hold the
-/// second back until the client ACKs the first, which a client that delays its ACKs does
-/// only when its ACK timer fires (about 40 ms).
-fn write_line(writer: &mut TcpStream, event: &str) -> std::io::Result<()> {
-    let mut line = Vec::with_capacity(event.len() + 1);
-    line.extend_from_slice(event.as_bytes());
-    line.push(b'\n');
-    writer.write_all(&line)
+/// Sends `event` and its newline in one write.
+fn write_line(writer: &mut impl Write, event: &str) -> std::io::Result<()> {
+    write_lines(writer, &[event])
+}
+
+/// Sends every event, each followed by a newline, in one write. Two small writes on a Nagle
+/// socket hold the second back until the client ACKs the first, which a client that delays
+/// its ACKs does only when its ACK timer fires (about 40 ms); so a reply, and every batch of
+/// events one `results` poll returns, leaves in a single write.
+fn write_lines(writer: &mut impl Write, events: &[impl AsRef<str>]) -> std::io::Result<()> {
+    let mut lines = Vec::with_capacity(events.iter().map(|e| e.as_ref().len() + 1).sum());
+    for event in events {
+        lines.extend_from_slice(event.as_ref().as_bytes());
+        lines.push(b'\n');
+    }
+    writer.write_all(&lines)
 }
 
 fn handle_connection(
@@ -258,9 +266,7 @@ fn dispatch(
                 let Some((events, terminal)) = scheduler.next_events(job, cursor) else {
                     return write_line(writer, &unknown_job(job));
                 };
-                for event in &events {
-                    write_line(writer, event)?;
-                }
+                write_lines(writer, &events)?;
                 if terminal && events.is_empty() {
                     return Ok(());
                 }
@@ -367,4 +373,43 @@ fn run_job(job: u64, params: &JobParams, scheduler: &Scheduler, graph_cache: &Gr
         scheduler.record_trial(job, protocol::trial_event(job, index, &outcome, trace.as_ref()));
     }
     scheduler.finish(job, protocol::summary_event(job, params, &outcomes), JobPhase::Done);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A writer that records each `write` call separately.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_poll_of_several_events_leaves_in_one_newline_framed_write() {
+        let mut writer = Writes::default();
+        let events =
+            vec!["{\"event\":\"trial\"}".to_string(), "{\"event\":\"summary\"}".to_string()];
+        write_lines(&mut writer, &events).unwrap();
+        assert_eq!(writer.0, vec![b"{\"event\":\"trial\"}\n{\"event\":\"summary\"}\n".to_vec()]);
+        write_line(&mut writer, "{\"event\":\"error\"}").unwrap();
+        assert_eq!(writer.0.len(), 2);
+        assert_eq!(writer.0[1], b"{\"event\":\"error\"}\n");
+    }
+
+    #[test]
+    fn an_empty_poll_writes_nothing() {
+        let mut writer = Writes::default();
+        write_lines(&mut writer, &Vec::<String>::new()).unwrap();
+        assert!(writer.0.is_empty());
+    }
 }

@@ -6,7 +6,7 @@
 //! COBRA/BIPS processes ("pick a uniformly random neighbour of `v`") is a single bounds-checked
 //! index into a slice.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 
 use crate::{GraphError, Result};
@@ -18,6 +18,12 @@ pub type VertexId = usize;
 ///
 /// Construct one with [`Graph::from_edges`], the [`GraphBuilder`](crate::GraphBuilder), or a
 /// generator from [`generators`](crate::generators).
+///
+/// Every constructor also records the lowest isolated vertex, if any, so that
+/// [`first_isolated`](Graph::first_isolated) answers in `O(1)` the one degree question
+/// every spreading process asks at build time. The serialized form holds only the CSR
+/// arrays; deserializing rebuilds the graph through [`Graph::from_raw_parts`], which
+/// validates the arrays and recomputes that fact instead of trusting a stored value.
 ///
 /// # Example
 ///
@@ -34,12 +40,14 @@ pub type VertexId = usize;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Graph {
     /// `offsets[v]..offsets[v+1]` indexes `neighbors` for vertex `v`. Length `n + 1`.
     offsets: Vec<usize>,
     /// Concatenated, per-vertex sorted adjacency lists. Length `2 * m`.
     neighbors: Vec<VertexId>,
+    /// The lowest vertex of degree 0, computed once from `offsets` (so a function of them).
+    first_isolated: Option<VertexId>,
 }
 
 impl Graph {
@@ -94,7 +102,8 @@ impl Graph {
             }
         }
 
-        Ok(Graph { offsets, neighbors })
+        let first_isolated = degree.iter().position(|&deg| deg == 0);
+        Ok(Graph { offsets, neighbors, first_isolated })
     }
 
     /// Builds a graph directly from per-vertex adjacency lists.
@@ -160,7 +169,8 @@ impl Graph {
             )));
         }
         let n = offsets.len() - 1;
-        let graph = Graph { offsets, neighbors };
+        let first_isolated = offsets.windows(2).position(|w| w[0] == w[1]);
+        let graph = Graph { offsets, neighbors, first_isolated };
         for u in 0..n {
             let row = graph.neighbors(u);
             for (i, &v) in row.iter().enumerate() {
@@ -218,6 +228,13 @@ impl Graph {
     pub fn heap_bytes(&self) -> usize {
         self.offsets.len() * std::mem::size_of::<usize>()
             + self.neighbors.len() * std::mem::size_of::<VertexId>()
+    }
+
+    /// The lowest vertex with no neighbours, or `None` if every vertex has one (and for the
+    /// empty graph). Computed once when the graph is built, so this is `O(1)`.
+    #[inline]
+    pub fn first_isolated(&self) -> Option<VertexId> {
+        self.first_isolated
     }
 
     /// Degree of vertex `v`.
@@ -355,7 +372,29 @@ impl fmt::Debug for Graph {
 impl Default for Graph {
     /// The empty graph (no vertices, no edges).
     fn default() -> Self {
-        Graph { offsets: vec![0], neighbors: Vec::new() }
+        Graph { offsets: vec![0], neighbors: Vec::new(), first_isolated: None }
+    }
+}
+
+impl Serialize for Graph {
+    fn serialize(&self) -> Value {
+        Value::Object(vec![
+            ("offsets".to_string(), self.offsets.serialize()),
+            ("neighbors".to_string(), self.neighbors.serialize()),
+        ])
+    }
+}
+
+impl Deserialize for Graph {
+    /// Reads the CSR arrays and rebuilds the graph through [`Graph::from_raw_parts`], so a
+    /// stored graph is validated and its cached degree fact recomputed.
+    fn deserialize(value: &Value) -> std::result::Result<Self, serde::Error> {
+        let entries = value
+            .as_object()
+            .ok_or_else(|| serde::Error::custom("expected object for struct Graph"))?;
+        let offsets = Vec::deserialize(serde::object_field(entries, "offsets")?)?;
+        let neighbors = Vec::deserialize(serde::object_field(entries, "neighbors")?)?;
+        Graph::from_raw_parts(offsets, neighbors).map_err(|e| serde::Error::custom(e.to_string()))
     }
 }
 
@@ -567,5 +606,42 @@ mod tests {
         let json = serde_json::to_string(&g).unwrap();
         let g2: Graph = serde_json::from_str(&json).unwrap();
         assert_eq!(g, g2);
+    }
+
+    #[test]
+    fn first_isolated_is_the_lowest_degree_zero_vertex_on_every_build_path() {
+        // Vertices 3 and 5 are isolated; 3 is the lowest.
+        let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 4)]).unwrap();
+        assert_eq!(g.first_isolated(), Some(3));
+        let adj: Vec<Vec<usize>> = g.vertices().map(|v| g.neighbors(v).to_vec()).collect();
+        assert_eq!(Graph::from_adjacency(&adj).unwrap().first_isolated(), Some(3));
+        let (offsets, neighbors) = g.raw_parts();
+        let raw = Graph::from_raw_parts(offsets.to_vec(), neighbors.to_vec()).unwrap();
+        assert_eq!(raw.first_isolated(), Some(3));
+        let json = serde_json::to_string(&g).unwrap();
+        assert_eq!(serde_json::from_str::<Graph>(&json).unwrap().first_isolated(), Some(3));
+        // Vertex 0 and the last vertex are found too.
+        assert_eq!(Graph::from_edges(3, &[(1, 2)]).unwrap().first_isolated(), Some(0));
+        assert_eq!(Graph::from_edges(3, &[(0, 1)]).unwrap().first_isolated(), Some(2));
+        assert_eq!(triangle().first_isolated(), None);
+        assert_eq!(Graph::from_edges(1, &[]).unwrap().first_isolated(), Some(0));
+        assert_eq!(Graph::default().first_isolated(), None);
+        assert_eq!(Graph::from_raw_parts(vec![0], Vec::new()).unwrap().first_isolated(), None);
+    }
+
+    #[test]
+    fn deserializing_recomputes_and_validates_instead_of_trusting_the_input() {
+        // A stored `first_isolated` field is ignored: the fact comes from the arrays.
+        let json = r#"{"offsets":[0,1,2,2],"neighbors":[1,0],"first_isolated":null}"#;
+        assert_eq!(serde_json::from_str::<Graph>(json).unwrap().first_isolated(), Some(2));
+        // Arrays that `from_raw_parts` rejects do not deserialize.
+        for bad in [
+            r#"{"offsets":[],"neighbors":[]}"#,
+            r#"{"offsets":[0,1,1],"neighbors":[1]}"#,
+            r#"{"offsets":[0,1,2],"neighbors":[5,0]}"#,
+        ] {
+            assert!(serde_json::from_str::<Graph>(bad).is_err(), "{bad}");
+        }
+        assert!(serde_json::from_str::<Graph>("[0]").is_err());
     }
 }

@@ -10,8 +10,8 @@
 //!   neighbour via a Lemire-style widening multiply (no division, no rejection),
 //! * [`VertexBitset`] — the word-level vertex-set substrate of the sparse-frontier
 //!   simulation engine: `O(1)` test-and-set, `O(|set|)` dirty-list clearing and
-//!   `O(n/64 + |set|)` ascending iteration, so active sets cost what they hold rather than
-//!   `O(n)` per round,
+//!   `O(n/512 + |set|)` ascending iteration (occupancy flags skip the empty words),
+//!   so active sets cost what they hold rather than `O(n)` per round,
 //! * a mutable [`GraphBuilder`] for incremental construction,
 //! * deterministic and randomised [`generators`] for every graph family the paper (and the
 //!   prior work it compares against) discusses: complete graphs, random `r`-regular graphs,
