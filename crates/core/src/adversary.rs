@@ -583,7 +583,7 @@ impl AdversaryPolicy for PartitionPolicy {
         for &v in view.newly_activated() {
             if covered.insert(v) {
                 self.covered_count += 1;
-                for &w in view.graph().neighbors(v) {
+                for w in view.graph().neighbor_iter(v) {
                     if covered.contains(w) {
                         self.crossing -= 1;
                     } else {

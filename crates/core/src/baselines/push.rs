@@ -112,7 +112,7 @@ impl Pusher<'_> {
             return None;
         }
         let target = *sample::sample_slice(self.graph.neighbors(u), rng)
-            .expect("neighbour slice is non-empty");
+            .expect("neighbour slice is non-empty") as VertexId;
         // A severed cut blocks the message after the target draw; a per-edge channel may
         // then lose it on the chosen link.
         if self.faults.severs(u, target) || self.faults.drops_on_edge(rng, u, target) {
@@ -314,7 +314,7 @@ impl Caller<'_> {
     #[inline]
     fn call<R: RngCore>(&self, u: VertexId, rng: &mut R) -> Option<VertexId> {
         let partner = *sample::sample_slice(self.graph.neighbors(u), rng)
-            .expect("neighbour slice is non-empty");
+            .expect("neighbour slice is non-empty") as VertexId;
         // Crash disables transmission only: a crashed vertex neither pushes the rumour
         // nor answers a pull, but it can still receive and still request. A severed
         // cut blocks the contact in both directions before any drop draw.

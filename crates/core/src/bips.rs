@@ -193,7 +193,8 @@ impl Puller<'_> {
         // original draw arithmetic (Fixed k consumes zero words either way).
         let samples = self.branching.sample_pushes(rng) * self.boost;
         for _ in 0..samples {
-            let w = *sample::sample_slice(neighbors, rng).expect("neighbour slice non-empty");
+            let w = *sample::sample_slice(neighbors, rng).expect("neighbour slice non-empty")
+                as VertexId;
             // A crashed vertex never relays: its infection is invisible to samplers.
             // A severed cut blocks the sampled edge deterministically, and the drop
             // draw only happens for a would-be-successful transmission (sender `w`).

@@ -361,8 +361,8 @@ impl Sender<'_> {
             if self.faults.drops_from(rng, u) {
                 continue;
             }
-            let target =
-                *sample::sample_slice(neighbors, rng).expect("neighbour slice is non-empty");
+            let target = *sample::sample_slice(neighbors, rng)
+                .expect("neighbour slice is non-empty") as VertexId;
             // A severed cut blocks the push after the (already consumed) target draw;
             // a per-edge channel may then drop it on the specific link chosen.
             if self.faults.severs(u, target) || self.faults.drops_on_edge(rng, u, target) {

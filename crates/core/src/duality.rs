@@ -248,7 +248,7 @@ pub fn exact_bips_avoidance(
         if degree == 0 {
             return 0.0;
         }
-        let hits = graph.neighbors(u).iter().filter(|&&w| infected & (1 << w) != 0).count();
+        let hits = graph.neighbor_iter(u).filter(|&w| infected & (1 << w) != 0).count();
         let q = hits as f64 / degree as f64;
         match branching {
             Branching::Fixed { k } => 1.0 - (1.0 - q).powi(k as i32),
@@ -518,7 +518,7 @@ mod tests {
                 let dist = choice_set_distribution(&g, u, branching);
                 let total: f64 = dist.values().sum();
                 assert!((total - 1.0).abs() < 1e-12);
-                let neighbourhood = mask_of(g.neighbors(u));
+                let neighbourhood = mask_of(&g.neighbor_iter(u).collect::<Vec<_>>());
                 for &mask in dist.keys() {
                     assert_eq!(mask & !neighbourhood, 0, "choices must be neighbours of {u}");
                     assert!(mask != 0);

@@ -68,7 +68,7 @@ pub fn exact_expected_next_size(
         if degree == 0 {
             continue;
         }
-        let hits = graph.neighbors(u).iter().filter(|&&w| is_infected[w]).count();
+        let hits = graph.neighbor_iter(u).filter(|&w| is_infected[w]).count();
         let q = hits as f64 / degree as f64;
         let p = match branching {
             Branching::Fixed { k } => 1.0 - (1.0 - q).powi(k as i32),
@@ -140,8 +140,9 @@ pub fn sampled_expected_next_size<R: Rng + ?Sized>(
                 continue;
             }
             let samples = branching.sample_pushes(rng);
-            let hit = (0..samples)
-                .any(|_| is_infected[*sample::sample_slice(neighbors, rng).expect("non-empty")]);
+            let hit = (0..samples).any(|_| {
+                is_infected[*sample::sample_slice(neighbors, rng).expect("non-empty") as VertexId]
+            });
             if hit {
                 next += 1;
             }

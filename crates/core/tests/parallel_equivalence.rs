@@ -174,7 +174,7 @@ fn every_vertex_stream_is_rederivable_and_draws_exactly_k_words() {
             let mut rng = CountingRng::new(streams.stream(u as u64, round));
             let neighbors = graph.neighbors(u);
             for _ in 0..2 {
-                let target = *sample::sample_slice(neighbors, &mut rng).unwrap();
+                let target = *sample::sample_slice(neighbors, &mut rng).unwrap() as VertexId;
                 if !next[target] && !active[target] {
                     expected_newly.push(target);
                 }

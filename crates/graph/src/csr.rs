@@ -4,7 +4,9 @@
 //! never change. All simulation crates treat graphs as shared, read-only topology, which makes
 //! the CSR layout ideal — neighbour lists are contiguous slices, so the hot operation of the
 //! COBRA/BIPS processes ("pick a uniformly random neighbour of `v`") is a single bounds-checked
-//! index into a slice.
+//! index into a slice. Offsets and neighbour ids are stored as `u32`, 4 bytes per entry, so a
+//! random neighbour fetch touches half the bytes a `usize` array would; [`VertexId`] stays
+//! `usize` at the API and is widened on read.
 
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;
@@ -15,6 +17,10 @@ use crate::{GraphError, Result};
 pub type VertexId = usize;
 
 /// An immutable undirected simple graph in CSR form.
+///
+/// Offsets and neighbour ids are `u32` entries of 4 bytes, so a graph holds at most
+/// [`MAX_ENTRIES`](Graph::MAX_ENTRIES) vertices and as many directed arcs; every constructor
+/// rejects a larger one with [`GraphError::TooLarge`] instead of truncating it.
 ///
 /// Construct one with [`Graph::from_edges`], the [`GraphBuilder`](crate::GraphBuilder), or a
 /// generator from [`generators`](crate::generators).
@@ -43,14 +49,33 @@ pub type VertexId = usize;
 #[derive(Clone, PartialEq, Eq)]
 pub struct Graph {
     /// `offsets[v]..offsets[v+1]` indexes `neighbors` for vertex `v`. Length `n + 1`.
-    offsets: Vec<usize>,
+    offsets: Vec<u32>,
     /// Concatenated, per-vertex sorted adjacency lists. Length `2 * m`.
-    neighbors: Vec<VertexId>,
+    neighbors: Vec<u32>,
     /// The lowest vertex of degree 0, computed once from `offsets` (so a function of them).
     first_isolated: Option<VertexId>,
 }
 
+/// Checks that `num_vertices` vertices and `num_arcs` directed arcs fit the 32-bit arrays.
+fn check_csr_size(num_vertices: usize, num_arcs: usize) -> Result<()> {
+    for (what, count) in [("vertices", num_vertices), ("arcs", num_arcs)] {
+        if count > Graph::MAX_ENTRIES {
+            return Err(GraphError::TooLarge { what, count, limit: Graph::MAX_ENTRIES });
+        }
+    }
+    Ok(())
+}
+
+/// The lowest vertex whose offset row is empty.
+fn first_empty_row(offsets: &[u32]) -> Option<VertexId> {
+    offsets.windows(2).position(|w| w[0] == w[1])
+}
+
 impl Graph {
+    /// The most vertices, and the most directed arcs, a graph can hold: both index `u32`
+    /// arrays.
+    pub const MAX_ENTRIES: usize = u32::MAX as usize;
+
     /// Builds a graph with `n` vertices from an undirected edge list.
     ///
     /// Each pair `(u, v)` is interpreted as the undirected edge `{u, v}`. The edge list must
@@ -58,11 +83,16 @@ impl Graph {
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::VertexOutOfRange`] if an endpoint is `>= n`,
+    /// Returns [`GraphError::TooLarge`] if `n` or the arc count `2 · edges.len()` exceeds
+    /// [`MAX_ENTRIES`](Graph::MAX_ENTRIES) (checked before anything is allocated),
+    /// [`GraphError::VertexOutOfRange`] if an endpoint is `>= n`,
     /// [`GraphError::SelfLoop`] for an edge `{v, v}`, and [`GraphError::DuplicateEdge`] if the
     /// same undirected edge appears twice.
     pub fn from_edges(n: usize, edges: &[(VertexId, VertexId)]) -> Result<Self> {
-        let mut degree = vec![0usize; n];
+        check_csr_size(n, edges.len().saturating_mul(2))?;
+        // Degrees are counted into `offsets[v + 1]`, then prefix-summed in place. Every sum
+        // is at most the arc count, which fits `u32` by the check above.
+        let mut offsets = vec![0u32; n + 1];
         for &(u, v) in edges {
             if u >= n {
                 return Err(GraphError::VertexOutOfRange { vertex: u, num_vertices: n });
@@ -73,36 +103,34 @@ impl Graph {
             if u == v {
                 return Err(GraphError::SelfLoop { vertex: u });
             }
-            degree[u] += 1;
-            degree[v] += 1;
+            offsets[u + 1] += 1;
+            offsets[v + 1] += 1;
+        }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
         }
 
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
-        for &deg in &degree {
-            let prev = *offsets.last().expect("offsets is never empty");
-            offsets.push(prev + deg);
-        }
-
-        let mut neighbors = vec![0 as VertexId; 2 * edges.len()];
+        // Endpoints are below `n <= u32::MAX`, so narrowing them is exact.
+        let mut neighbors = vec![0u32; 2 * edges.len()];
         let mut cursor = offsets[..n].to_vec();
         for &(u, v) in edges {
-            neighbors[cursor[u]] = v;
+            neighbors[cursor[u] as usize] = v as u32;
             cursor[u] += 1;
-            neighbors[cursor[v]] = u;
+            neighbors[cursor[v] as usize] = u as u32;
             cursor[v] += 1;
         }
 
         // Sort each adjacency list and detect duplicates.
         for v in 0..n {
-            let slice = &mut neighbors[offsets[v]..offsets[v + 1]];
+            let slice = &mut neighbors[offsets[v] as usize..offsets[v + 1] as usize];
             slice.sort_unstable();
             if let Some(w) = slice.windows(2).find(|w| w[0] == w[1]) {
-                return Err(GraphError::DuplicateEdge { u: v.min(w[0]), v: v.max(w[0]) });
+                let w = w[0] as usize;
+                return Err(GraphError::DuplicateEdge { u: v.min(w), v: v.max(w) });
             }
         }
 
-        let first_isolated = degree.iter().position(|&deg| deg == 0);
+        let first_isolated = first_empty_row(&offsets);
         Ok(Graph { offsets, neighbors, first_isolated })
     }
 
@@ -151,17 +179,20 @@ impl Graph {
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::InvalidParameters`] for malformed offsets or asymmetry, and the
+    /// Returns [`GraphError::TooLarge`] if there are more than
+    /// [`MAX_ENTRIES`](Graph::MAX_ENTRIES) vertices or arcs,
+    /// [`GraphError::InvalidParameters`] for malformed offsets or asymmetry, and the
     /// same per-edge errors as [`Graph::from_edges`] for bad rows.
-    pub fn from_raw_parts(offsets: Vec<usize>, neighbors: Vec<VertexId>) -> Result<Self> {
+    pub fn from_raw_parts(offsets: Vec<u32>, neighbors: Vec<u32>) -> Result<Self> {
         let structural = |reason: String| GraphError::InvalidParameters { reason };
         if offsets.first() != Some(&0) {
             return Err(structural("CSR offsets must start with 0".to_string()));
         }
+        check_csr_size(offsets.len() - 1, neighbors.len())?;
         if offsets.windows(2).any(|w| w[0] > w[1]) {
             return Err(structural("CSR offsets must be non-decreasing".to_string()));
         }
-        if *offsets.last().expect("checked non-empty above") != neighbors.len() {
+        if *offsets.last().expect("checked non-empty above") as usize != neighbors.len() {
             return Err(structural(format!(
                 "CSR offsets end at {} but there are {} arcs",
                 offsets.last().expect("checked non-empty above"),
@@ -169,26 +200,27 @@ impl Graph {
             )));
         }
         let n = offsets.len() - 1;
-        let first_isolated = offsets.windows(2).position(|w| w[0] == w[1]);
+        let first_isolated = first_empty_row(&offsets);
         let graph = Graph { offsets, neighbors, first_isolated };
         for u in 0..n {
             let row = graph.neighbors(u);
-            for (i, &v) in row.iter().enumerate() {
+            for (i, &w) in row.iter().enumerate() {
+                let v = w as usize;
                 if v >= n {
                     return Err(GraphError::VertexOutOfRange { vertex: v, num_vertices: n });
                 }
                 if v == u {
                     return Err(GraphError::SelfLoop { vertex: u });
                 }
-                if i > 0 && row[i - 1] == v {
+                if i > 0 && row[i - 1] == w {
                     return Err(GraphError::DuplicateEdge { u: u.min(v), v: u.max(v) });
                 }
-                if i > 0 && row[i - 1] > v {
+                if i > 0 && row[i - 1] > w {
                     return Err(structural(format!(
                         "CSR adjacency row of vertex {u} is not sorted"
                     )));
                 }
-                if graph.neighbors(v).binary_search(&u).is_err() {
+                if graph.neighbors(v).binary_search(&(u as u32)).is_err() {
                     return Err(structural(format!(
                         "CSR rows are not symmetric: arc ({u}, {v}) has no mirror"
                     )));
@@ -199,7 +231,7 @@ impl Graph {
     }
 
     /// The raw CSR arrays `(offsets, neighbors)` — the encode path of the binary cache.
-    pub(crate) fn raw_parts(&self) -> (&[usize], &[VertexId]) {
+    pub(crate) fn raw_parts(&self) -> (&[u32], &[u32]) {
         (&self.offsets, &self.neighbors)
     }
 
@@ -222,12 +254,12 @@ impl Graph {
     }
 
     /// Heap footprint of the CSR arrays in bytes: `(n + 1)` offsets plus `2m` neighbour
-    /// entries. This is the accounting unit of size-bounded instance caches (the serving
-    /// layer's `--cache-mb` budget); it deliberately ignores constant per-`Vec` overhead.
+    /// entries, 4 bytes each. This is the accounting unit of size-bounded instance caches (the
+    /// serving layer's `--cache-mb` budget); it deliberately ignores constant per-`Vec`
+    /// overhead.
     #[inline]
     pub fn heap_bytes(&self) -> usize {
-        self.offsets.len() * std::mem::size_of::<usize>()
-            + self.neighbors.len() * std::mem::size_of::<VertexId>()
+        (self.offsets.len() + self.neighbors.len()) * std::mem::size_of::<u32>()
     }
 
     /// The lowest vertex with no neighbours, or `None` if every vertex has one (and for the
@@ -244,17 +276,18 @@ impl Graph {
     /// Panics if `v >= self.num_vertices()`.
     #[inline]
     pub fn degree(&self, v: VertexId) -> usize {
-        self.offsets[v + 1] - self.offsets[v]
+        (self.offsets[v + 1] - self.offsets[v]) as usize
     }
 
-    /// The (sorted) neighbours of `v` as a slice.
+    /// The (sorted) neighbours of `v` as the raw `u32` row; widen an element with `as usize`
+    /// to get its [`VertexId`].
     ///
     /// # Panics
     ///
     /// Panics if `v >= self.num_vertices()`.
     #[inline]
-    pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
-        &self.neighbors[self.offsets[v]..self.offsets[v + 1]]
+    pub fn neighbors(&self, v: VertexId) -> &[u32] {
+        &self.neighbors[self.offsets[v] as usize..self.offsets[v + 1] as usize]
     }
 
     /// The `i`-th neighbour of `v` (neighbours are sorted ascending).
@@ -267,8 +300,7 @@ impl Graph {
     /// Panics if `v >= self.num_vertices()` or `i >= self.degree(v)`.
     #[inline]
     pub fn neighbor(&self, v: VertexId, i: usize) -> VertexId {
-        let slice = self.neighbors(v);
-        slice[i]
+        self.neighbors(v)[i] as VertexId
     }
 
     /// Draws a uniformly random neighbour of `v`, or `None` if `v` is isolated.
@@ -288,7 +320,7 @@ impl Graph {
         v: VertexId,
         rng: &mut R,
     ) -> Option<VertexId> {
-        crate::sample::sample_slice(self.neighbors(v), rng).copied()
+        crate::sample::sample_slice(self.neighbors(v), rng).map(|&w| w as VertexId)
     }
 
     /// Returns `true` if `{u, v}` is an edge. Runs in `O(log deg(u))`.
@@ -297,7 +329,7 @@ impl Graph {
             return false;
         }
         let (a, b) = if self.degree(u) <= self.degree(v) { (u, v) } else { (v, u) };
-        self.neighbors(a).binary_search(&b).is_ok()
+        self.neighbors(a).binary_search(&(b as u32)).is_ok()
     }
 
     /// Iterator over all vertices `0..n`.
@@ -307,9 +339,8 @@ impl Graph {
 
     /// Iterator over all undirected edges `(u, v)` with `u < v`, in ascending order of `u`.
     pub fn edges(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
-        self.vertices().flat_map(move |u| {
-            self.neighbors(u).iter().copied().filter(move |&v| u < v).map(move |v| (u, v))
-        })
+        self.vertices()
+            .flat_map(move |u| self.neighbor_iter(u).filter(move |&v| u < v).map(move |v| (u, v)))
     }
 
     /// Iterator over the neighbours of `v`.
@@ -392,6 +423,7 @@ impl Deserialize for Graph {
         let entries = value
             .as_object()
             .ok_or_else(|| serde::Error::custom("expected object for struct Graph"))?;
+        // Entries are `u32`, so a value above `u32::MAX` fails here, before any graph check.
         let offsets = Vec::deserialize(serde::object_field(entries, "offsets")?)?;
         let neighbors = Vec::deserialize(serde::object_field(entries, "neighbors")?)?;
         Graph::from_raw_parts(offsets, neighbors).map_err(|e| serde::Error::custom(e.to_string()))
@@ -401,14 +433,14 @@ impl Deserialize for Graph {
 /// Iterator over the neighbours of a vertex, produced by [`Graph::neighbor_iter`].
 #[derive(Debug, Clone)]
 pub struct NeighborIter<'a> {
-    inner: std::slice::Iter<'a, VertexId>,
+    inner: std::slice::Iter<'a, u32>,
 }
 
 impl<'a> Iterator for NeighborIter<'a> {
     type Item = VertexId;
 
     fn next(&mut self) -> Option<Self::Item> {
-        self.inner.next().copied()
+        self.inner.next().map(|&w| w as VertexId)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -454,7 +486,7 @@ mod tests {
         let g = triangle();
         for v in g.vertices() {
             for i in 0..g.degree(v) {
-                assert_eq!(g.neighbor(v, i), g.neighbors(v)[i]);
+                assert_eq!(g.neighbor(v, i), g.neighbors(v)[i] as VertexId);
             }
         }
     }
@@ -506,7 +538,7 @@ mod tests {
     #[test]
     fn from_adjacency_round_trips() {
         let g = triangle();
-        let adj: Vec<Vec<usize>> = g.vertices().map(|v| g.neighbors(v).to_vec()).collect();
+        let adj: Vec<Vec<usize>> = g.vertices().map(|v| g.neighbor_iter(v).collect()).collect();
         let g2 = Graph::from_adjacency(&adj).unwrap();
         assert_eq!(g, g2);
     }
@@ -531,11 +563,38 @@ mod tests {
 
     #[test]
     fn heap_bytes_counts_offsets_and_neighbor_entries() {
+        // 4 bytes per entry: 4·(n + 1) offsets + 4·2m directed neighbour entries.
         let g = Graph::from_edges(3, &[(0, 1), (1, 2)]).unwrap();
-        let word = std::mem::size_of::<usize>();
-        // 4 offsets + 2·2 directed neighbour entries.
-        assert_eq!(g.heap_bytes(), 4 * word + 4 * std::mem::size_of::<VertexId>());
-        assert_eq!(Graph::default().heap_bytes(), word);
+        assert_eq!(g.heap_bytes(), 4 * 4 + 4 * 4);
+        let petersen = crate::generators::petersen().unwrap();
+        assert_eq!(petersen.heap_bytes(), 4 * 11 + 4 * 30);
+        assert_eq!(Graph::default().heap_bytes(), 4);
+    }
+
+    #[test]
+    fn size_check_accepts_the_limit_and_rejects_one_past_it() {
+        let max = Graph::MAX_ENTRIES;
+        assert_eq!(max, u32::MAX as usize);
+        assert_eq!(check_csr_size(max, max), Ok(()));
+        assert_eq!(
+            check_csr_size(0, max + 1),
+            Err(GraphError::TooLarge { what: "arcs", count: max + 1, limit: max })
+        );
+        assert_eq!(
+            check_csr_size(max + 1, 0),
+            Err(GraphError::TooLarge { what: "vertices", count: max + 1, limit: max })
+        );
+    }
+
+    #[test]
+    fn from_edges_rejects_too_many_vertices_before_allocating() {
+        // Building `offsets` for 2³² vertices would need 16 GiB; the check comes first.
+        let err = Graph::from_edges(1usize << 32, &[]).unwrap_err();
+        assert_eq!(
+            err,
+            GraphError::TooLarge { what: "vertices", count: 1 << 32, limit: Graph::MAX_ENTRIES }
+        );
+        assert!(err.to_string().contains("4294967296 vertices"), "{err}");
     }
 
     #[test]
@@ -613,7 +672,7 @@ mod tests {
         // Vertices 3 and 5 are isolated; 3 is the lowest.
         let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 4)]).unwrap();
         assert_eq!(g.first_isolated(), Some(3));
-        let adj: Vec<Vec<usize>> = g.vertices().map(|v| g.neighbors(v).to_vec()).collect();
+        let adj: Vec<Vec<usize>> = g.vertices().map(|v| g.neighbor_iter(v).collect()).collect();
         assert_eq!(Graph::from_adjacency(&adj).unwrap().first_isolated(), Some(3));
         let (offsets, neighbors) = g.raw_parts();
         let raw = Graph::from_raw_parts(offsets.to_vec(), neighbors.to_vec()).unwrap();
@@ -639,6 +698,9 @@ mod tests {
             r#"{"offsets":[],"neighbors":[]}"#,
             r#"{"offsets":[0,1,1],"neighbors":[1]}"#,
             r#"{"offsets":[0,1,2],"neighbors":[5,0]}"#,
+            // Entries are 32-bit: 2³² is not a neighbour id or an offset.
+            r#"{"offsets":[0,1,2],"neighbors":[4294967296,0]}"#,
+            r#"{"offsets":[0,4294967296,2],"neighbors":[1,0]}"#,
         ] {
             assert!(serde_json::from_str::<Graph>(bad).is_err(), "{bad}");
         }

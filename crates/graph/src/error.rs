@@ -45,6 +45,15 @@ pub enum GraphError {
         /// Description of the problem.
         reason: String,
     },
+    /// A graph has more vertices or arcs than the 32-bit CSR can index.
+    TooLarge {
+        /// What overflowed: `"vertices"` or `"arcs"` (directed, so twice the edge count).
+        what: &'static str,
+        /// The requested count.
+        count: usize,
+        /// The largest count a graph holds, [`Graph::MAX_ENTRIES`](crate::Graph::MAX_ENTRIES).
+        limit: usize,
+    },
     /// A file-backed graph could not be read from disk.
     Io {
         /// Path of the offending file.
@@ -75,6 +84,9 @@ impl fmt::Display for GraphError {
             }
             GraphError::Parse { line, reason } => {
                 write!(f, "parse error on line {line}: {reason}")
+            }
+            GraphError::TooLarge { what, count, limit } => {
+                write!(f, "graph has {count} {what}, more than the CSR limit of {limit}")
             }
             GraphError::Io { path, reason } => {
                 write!(f, "cannot read graph file {path:?}: {reason}")
@@ -107,6 +119,10 @@ mod tests {
                 "graph generation failed",
             ),
             (GraphError::Parse { line: 4, reason: "bad token".into() }, "parse error on line 4"),
+            (
+                GraphError::TooLarge { what: "arcs", count: 1 << 33, limit: 7 },
+                "graph has 8589934592 arcs, more than the CSR limit of 7",
+            ),
             (
                 GraphError::Io { path: "net.edges".into(), reason: "not found".into() },
                 "cannot read graph file",

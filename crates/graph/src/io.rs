@@ -175,9 +175,12 @@ pub fn load_edge_list_file(path: &str, lenient: bool) -> Result<Graph> {
 
 /// Cache file layout (all integers little-endian):
 /// magic `COBRACSR` · `u32` version · `u64` source length · `u64` source fingerprint ·
-/// `u64` n · `u64` arc count · `(n+1) × u64` offsets · `arcs × u64` neighbours.
+/// `u64` n · `u64` arc count · `(n+1) × u32` offsets · `arcs × u32` neighbours.
+///
+/// Version 1 stored the arrays as `u64`; a version-1 file is stale and is rebuilt from the
+/// text and rewritten.
 const CSR_CACHE_MAGIC: &[u8; 8] = b"COBRACSR";
-const CSR_CACHE_VERSION: u32 = 1;
+const CSR_CACHE_VERSION: u32 = 2;
 
 /// FNV-1a over the source bytes: cheap, dependency-free change detection (not security).
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -208,19 +211,18 @@ fn read_csr_cache(path: &Path, source_len: u64, fingerprint: u64) -> Option<Grap
     }
     let n = usize::try_from(next_u64(rest, &mut pos)?).ok()?;
     let arcs = usize::try_from(next_u64(rest, &mut pos)?).ok()?;
-    // Validate the announced sizes against the actual file length before allocating.
+    // Validate the announced sizes against the actual file length before allocating;
+    // `from_raw_parts` then rejects more vertices or arcs than the CSR can index.
     let words = n.checked_add(1)?.checked_add(arcs)?;
-    if rest.len().checked_sub(pos)? != words.checked_mul(8)? {
+    let body = &rest[pos..];
+    if body.len() != words.checked_mul(4)? {
         return None;
     }
-    let mut offsets = Vec::with_capacity(n + 1);
-    for _ in 0..=n {
-        offsets.push(usize::try_from(next_u64(rest, &mut pos)?).ok()?);
-    }
-    let mut neighbors = Vec::with_capacity(arcs);
-    for _ in 0..arcs {
-        neighbors.push(usize::try_from(next_u64(rest, &mut pos)?).ok()?);
-    }
+    let mut entries = body
+        .chunks_exact(4)
+        .map(|word| u32::from_le_bytes(word.try_into().expect("chunks are 4 bytes")));
+    let offsets: Vec<u32> = entries.by_ref().take(n + 1).collect();
+    let neighbors: Vec<u32> = entries.collect();
     Graph::from_raw_parts(offsets, neighbors).ok()
 }
 
@@ -232,18 +234,15 @@ fn write_csr_cache(
     graph: &Graph,
 ) -> std::io::Result<()> {
     let (offsets, neighbors) = graph.raw_parts();
-    let mut out = Vec::with_capacity(8 + 4 + 8 * 4 + 8 * (offsets.len() + neighbors.len()));
+    let mut out = Vec::with_capacity(8 + 4 + 8 * 4 + 4 * (offsets.len() + neighbors.len()));
     out.extend_from_slice(CSR_CACHE_MAGIC);
     out.extend_from_slice(&CSR_CACHE_VERSION.to_le_bytes());
     out.extend_from_slice(&source_len.to_le_bytes());
     out.extend_from_slice(&fingerprint.to_le_bytes());
     out.extend_from_slice(&(graph.num_vertices() as u64).to_le_bytes());
     out.extend_from_slice(&(neighbors.len() as u64).to_le_bytes());
-    for &offset in offsets {
-        out.extend_from_slice(&(offset as u64).to_le_bytes());
-    }
-    for &neighbor in neighbors {
-        out.extend_from_slice(&(neighbor as u64).to_le_bytes());
+    for &entry in offsets.iter().chain(neighbors) {
+        out.extend_from_slice(&entry.to_le_bytes());
     }
     std::fs::write(path, out)
 }
@@ -389,6 +388,40 @@ mod tests {
         let _ = load_edge_list_file(&path_str, false); // rewrite cache for g2
         let fourth = load_edge_list_file(&path_str, false).unwrap();
         assert_eq!(fourth, g2);
+
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&cache);
+    }
+
+    #[test]
+    fn a_version_1_cache_is_stale_and_is_rewritten_as_version_2() {
+        let g = generators::petersen().unwrap();
+        let path = std::env::temp_dir().join("cobra_io_v1_cache_test.edges");
+        let path_str = path.to_str().unwrap().to_string();
+        let cache = format!("{path_str}.csrcache");
+        let text = to_edge_list(&g);
+        std::fs::write(&path, &text).unwrap();
+
+        // A well-formed version-1 file (`u64` entries) with the right key, holding a
+        // different graph: if it were decoded, the load would return the wrong graph.
+        let stale = generators::cycle(10).unwrap();
+        let (offsets, neighbors) = stale.raw_parts();
+        let mut v1 = CSR_CACHE_MAGIC.to_vec();
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        let header = [text.len() as u64, fnv1a(text.as_bytes()), 10, neighbors.len() as u64];
+        for word in header.into_iter().chain(offsets.iter().chain(neighbors).map(|&e| e.into())) {
+            v1.extend_from_slice(&word.to_le_bytes());
+        }
+        std::fs::write(&cache, &v1).unwrap();
+
+        assert_eq!(load_edge_list_file(&path_str, false).unwrap(), g);
+        let rewritten = std::fs::read(&cache).unwrap();
+        assert_eq!(&rewritten[..8], CSR_CACHE_MAGIC);
+        assert_eq!(rewritten[8..12], 2u32.to_le_bytes());
+        // Header of 8 + 4 + 4·8 bytes, then (n + 1) + 2m entries of 4 bytes.
+        assert_eq!(rewritten.len(), 44 + 4 * (11 + 30));
+        // The rewritten cache decodes to the same graph.
+        assert_eq!(load_edge_list_file(&path_str, false).unwrap(), g);
 
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&cache);

@@ -263,7 +263,7 @@ pub fn core_numbers(g: &Graph) -> Vec<usize> {
     for i in 0..n {
         let v = order[i];
         core[v] = degree[v];
-        for u in g.neighbors(v).to_vec() {
+        for u in g.neighbor_iter(v) {
             if degree[u] > degree[v] {
                 // Move u one bucket down.
                 let du = degree[u];

@@ -11,8 +11,6 @@
 use rand::RngCore;
 use rand_chacha::ChaCha8Stream;
 
-use crate::VertexId;
-
 /// Draws a uniform index in `0..bound` from one `next_u64` via widening multiply.
 ///
 /// # Behaviour at `u64::MAX`-adjacent bounds
@@ -38,13 +36,11 @@ pub fn uniform_index<R: RngCore + ?Sized>(rng: &mut R, bound: usize) -> usize {
 /// Draws a uniform element of `slice`, or `None` if it is empty.
 ///
 /// This is the buffered form of [`Graph::sample_neighbor`](crate::Graph::sample_neighbor):
-/// callers that push `k` times from the same vertex fetch the neighbour slice once and
-/// sample it repeatedly without re-touching the CSR offsets.
+/// callers that push `k` times from the same vertex fetch the neighbour row
+/// ([`Graph::neighbors`](crate::Graph::neighbors)) once and sample it repeatedly without
+/// re-touching the CSR offsets. The row holds `u32` ids; the caller widens the one it draws.
 #[inline]
-pub fn sample_slice<'a, R: RngCore + ?Sized>(
-    slice: &'a [VertexId],
-    rng: &mut R,
-) -> Option<&'a VertexId> {
+pub fn sample_slice<'a, R: RngCore + ?Sized>(slice: &'a [u32], rng: &mut R) -> Option<&'a u32> {
     if slice.is_empty() {
         None
     } else {

@@ -33,12 +33,12 @@ fn with_isolated_vertices() -> Graph {
 
 /// The same graph reached through every construction path.
 fn every_build_path(g: &Graph) -> Vec<(&'static str, Graph)> {
-    let adjacency: Vec<Vec<usize>> = g.vertices().map(|v| g.neighbors(v).to_vec()).collect();
-    let mut offsets = vec![0];
+    let adjacency: Vec<Vec<usize>> = g.vertices().map(|v| g.neighbor_iter(v).collect()).collect();
+    let mut offsets = vec![0u32];
     let mut neighbors = Vec::new();
-    for row in &adjacency {
-        neighbors.extend_from_slice(row);
-        offsets.push(neighbors.len());
+    for v in g.vertices() {
+        neighbors.extend_from_slice(g.neighbors(v));
+        offsets.push(neighbors.len() as u32);
     }
     let json = serde_json::to_string(g).unwrap();
     vec![
