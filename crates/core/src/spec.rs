@@ -392,12 +392,16 @@ impl ProcessSpec {
                 repair: Some(0.1),
                 ..FaultPlan::default()
             }),
-            // Adaptive adversaries (see `adversary`): BIPS survives a budgeted
-            // crash-the-hubs policy (crashed vertices still sample), and monotone PUSH
-            // completes under a growth-front drop.
+            // Adaptive adversaries (see `adversary`): BIPS completes under a crash-the-hubs
+            // policy whose budget is below the degree. A budget of at least the source's
+            // degree can crash all of the source's neighbours while they hold the whole
+            // epidemic; crashed vertices still sample but never relay, so the infection is
+            // then stuck on the source and those neighbours, and BIPS (complete only when
+            // every vertex is infected at once) never completes. Monotone PUSH completes
+            // under a growth-front drop.
             ProcessSpec::bips(2).expect("k = 2 is valid").faulted(FaultPlan {
                 adversary: Some(crate::adversary::AdversarySpec::CrashTopDegree {
-                    budget: crate::adversary::AdversaryBudget::Percent { percent: 5.0 },
+                    budget: crate::adversary::AdversaryBudget::Count { count: 3 },
                     rate: 1,
                 }),
                 ..FaultPlan::default()

@@ -57,7 +57,7 @@ pub struct Graph {
 }
 
 /// Checks that `num_vertices` vertices and `num_arcs` directed arcs fit the 32-bit arrays.
-fn check_csr_size(num_vertices: usize, num_arcs: usize) -> Result<()> {
+pub(crate) fn check_csr_size(num_vertices: usize, num_arcs: usize) -> Result<()> {
     for (what, count) in [("vertices", num_vertices), ("arcs", num_arcs)] {
         if count > Graph::MAX_ENTRIES {
             return Err(GraphError::TooLarge { what, count, limit: Graph::MAX_ENTRIES });
@@ -69,6 +69,51 @@ fn check_csr_size(num_vertices: usize, num_arcs: usize) -> Result<()> {
 /// The lowest vertex whose offset row is empty.
 fn first_empty_row(offsets: &[u32]) -> Option<VertexId> {
     offsets.windows(2).position(|w| w[0] == w[1])
+}
+
+/// Checks every structural invariant of raw CSR arrays; see [`Graph::from_raw_parts`].
+fn validate_raw_parts(offsets: &[u32], neighbors: &[u32]) -> Result<()> {
+    let structural = |reason: String| GraphError::InvalidParameters { reason };
+    if offsets.first() != Some(&0) {
+        return Err(structural("CSR offsets must start with 0".to_string()));
+    }
+    let n = offsets.len() - 1;
+    check_csr_size(n, neighbors.len())?;
+    if offsets.windows(2).any(|w| w[0] > w[1]) {
+        return Err(structural("CSR offsets must be non-decreasing".to_string()));
+    }
+    if offsets[n] as usize != neighbors.len() {
+        return Err(structural(format!(
+            "CSR offsets end at {} but there are {} arcs",
+            offsets[n],
+            neighbors.len()
+        )));
+    }
+    let row = |v: usize| &neighbors[offsets[v] as usize..offsets[v + 1] as usize];
+    for u in 0..n {
+        let row_u = row(u);
+        for (i, &w) in row_u.iter().enumerate() {
+            let v = w as usize;
+            if v >= n {
+                return Err(GraphError::VertexOutOfRange { vertex: v, num_vertices: n });
+            }
+            if v == u {
+                return Err(GraphError::SelfLoop { vertex: u });
+            }
+            if i > 0 && row_u[i - 1] == w {
+                return Err(GraphError::DuplicateEdge { u: u.min(v), v: u.max(v) });
+            }
+            if i > 0 && row_u[i - 1] > w {
+                return Err(structural(format!("CSR adjacency row of vertex {u} is not sorted")));
+            }
+            if row(v).binary_search(&(u as u32)).is_err() {
+                return Err(structural(format!(
+                    "CSR rows are not symmetric: arc ({u}, {v}) has no mirror"
+                )));
+            }
+        }
+    }
+    Ok(())
 }
 
 impl Graph {
@@ -184,50 +229,17 @@ impl Graph {
     /// [`GraphError::InvalidParameters`] for malformed offsets or asymmetry, and the
     /// same per-edge errors as [`Graph::from_edges`] for bad rows.
     pub fn from_raw_parts(offsets: Vec<u32>, neighbors: Vec<u32>) -> Result<Self> {
-        let structural = |reason: String| GraphError::InvalidParameters { reason };
-        if offsets.first() != Some(&0) {
-            return Err(structural("CSR offsets must start with 0".to_string()));
-        }
-        check_csr_size(offsets.len() - 1, neighbors.len())?;
-        if offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err(structural("CSR offsets must be non-decreasing".to_string()));
-        }
-        if *offsets.last().expect("checked non-empty above") as usize != neighbors.len() {
-            return Err(structural(format!(
-                "CSR offsets end at {} but there are {} arcs",
-                offsets.last().expect("checked non-empty above"),
-                neighbors.len()
-            )));
-        }
-        let n = offsets.len() - 1;
+        validate_raw_parts(&offsets, &neighbors)?;
+        Ok(Graph::from_valid_parts(offsets, neighbors))
+    }
+
+    /// Wraps CSR arrays that are valid by construction (a generator's own output), so
+    /// the `O(m log Δ)` checks of [`from_raw_parts`](Graph::from_raw_parts) run only in
+    /// debug builds.
+    pub(crate) fn from_valid_parts(offsets: Vec<u32>, neighbors: Vec<u32>) -> Self {
+        debug_assert_eq!(validate_raw_parts(&offsets, &neighbors), Ok(()));
         let first_isolated = first_empty_row(&offsets);
-        let graph = Graph { offsets, neighbors, first_isolated };
-        for u in 0..n {
-            let row = graph.neighbors(u);
-            for (i, &w) in row.iter().enumerate() {
-                let v = w as usize;
-                if v >= n {
-                    return Err(GraphError::VertexOutOfRange { vertex: v, num_vertices: n });
-                }
-                if v == u {
-                    return Err(GraphError::SelfLoop { vertex: u });
-                }
-                if i > 0 && row[i - 1] == w {
-                    return Err(GraphError::DuplicateEdge { u: u.min(v), v: u.max(v) });
-                }
-                if i > 0 && row[i - 1] > w {
-                    return Err(structural(format!(
-                        "CSR adjacency row of vertex {u} is not sorted"
-                    )));
-                }
-                if graph.neighbors(v).binary_search(&(u as u32)).is_err() {
-                    return Err(structural(format!(
-                        "CSR rows are not symmetric: arc ({u}, {v}) has no mirror"
-                    )));
-                }
-            }
-        }
-        Ok(graph)
+        Graph { offsets, neighbors, first_isolated }
     }
 
     /// The raw CSR arrays `(offsets, neighbors)` — the encode path of the binary cache.

@@ -4,15 +4,24 @@
 //! Random `r`-regular graphs are the work-horse instances of the cover-time experiments: for
 //! fixed `r ≥ 3` they are, with high probability, very good expanders (`λ → 2√(r-1)/r` by
 //! Friedman's theorem), which is exactly the regime of the paper's Theorem 1.
+//!
+//! [`random_regular`] runs in expected `O(n·r)` time for fixed `r` and holds two `n·r`
+//! arrays of 4-byte entries (the stubs and a partner table that becomes the graph's
+//! neighbour array); [`connected_random_regular`] adds one `O(n + n·r)` BFS per attempt.
+//! [`erdos_renyi_gnp`] and [`chung_lu`] still scan all `n(n−1)/2` vertex pairs.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use std::collections::HashSet;
 
+use crate::csr::check_csr_size;
 use crate::{ops, Graph, GraphError, Result, VertexId};
 
 /// Maximum number of restarts for the stub-matching procedure before giving up.
 const MAX_RESTARTS: usize = 1000;
+
+/// The widest partner row [`PartnerTable::contains`] scans in full rather than up to its
+/// length.
+const SHORT_ROW: usize = 16;
 
 /// Generates a uniform-ish random simple `r`-regular graph on `n` vertices.
 ///
@@ -22,14 +31,21 @@ const MAX_RESTARTS: usize = 1000;
 /// completed. For fixed `r` and moderate `n` this is fast and the output distribution is
 /// asymptotically uniform over simple `r`-regular graphs.
 ///
+/// Cost: each pass shuffles the unpaired stubs and tests every candidate pair against a flat
+/// `n × r` table of the partners found so far, an `O(r)` scan of one row, so an attempt takes
+/// expected `O(n·r)` time for fixed `r` (the first pass pairs almost every stub). Memory is
+/// `n·r` 4-byte stubs plus the `n·r` 4-byte table and `n` row counts; the table, its rows
+/// sorted, is the finished graph's neighbour array, so nothing is copied at the end.
+///
 /// The result is **not** guaranteed to be connected; use [`connected_random_regular`] when the
 /// experiments require connectivity (for `r ≥ 3` a resample is almost never needed).
 ///
 /// # Errors
 ///
-/// Returns [`GraphError::InvalidParameters`] if `n * r` is odd, `r >= n`, or `n == 0`, and
-/// [`GraphError::GenerationFailed`] if the matching procedure exceeds its restart budget
-/// (practically unreachable for sensible parameters).
+/// Returns [`GraphError::InvalidParameters`] if `n * r` is odd, `r >= n`, or `n == 0`,
+/// [`GraphError::TooLarge`] if `n` or `n * r` exceeds [`Graph::MAX_ENTRIES`] (checked before
+/// anything is allocated), and [`GraphError::GenerationFailed`] if the matching procedure
+/// exceeds its restart budget (practically unreachable for sensible parameters).
 pub fn random_regular<R: Rng>(n: usize, r: usize, rng: &mut R) -> Result<Graph> {
     if n == 0 {
         return Err(GraphError::InvalidParameters {
@@ -41,18 +57,24 @@ pub fn random_regular<R: Rng>(n: usize, r: usize, rng: &mut R) -> Result<Graph> 
             reason: format!("degree r = {r} must be smaller than n = {n}"),
         });
     }
-    if !(n * r).is_multiple_of(2) {
+    // A product past `usize::MAX` saturates, so it is reported as too large, not wrapped.
+    let arcs = n.saturating_mul(r);
+    check_csr_size(n, arcs)?;
+    if !arcs.is_multiple_of(2) {
         return Err(GraphError::InvalidParameters {
-            reason: format!("n * r = {} must be even", n * r),
+            reason: format!("n * r = {arcs} must be even"),
         });
     }
     if r == 0 {
         return Graph::from_edges(n, &[]);
     }
 
+    // Both sizes fit `u32` by the check above, so every stub and vertex id narrows exactly.
+    let mut stubs: Vec<u32> = Vec::with_capacity(arcs);
+    let mut partners = PartnerTable { r, rows: vec![0; arcs], len: vec![0; n] };
     for _ in 0..MAX_RESTARTS {
-        if let Some(edges) = try_regular_matching(n, r, rng) {
-            return Graph::from_edges(n, &edges);
+        if try_regular_matching(&mut stubs, &mut partners, rng) {
+            return Ok(partners.into_graph());
         }
     }
     Err(GraphError::GenerationFailed {
@@ -60,66 +82,100 @@ pub fn random_regular<R: Rng>(n: usize, r: usize, rng: &mut R) -> Result<Graph> 
     })
 }
 
-/// One attempt of the Steger–Wormald stub-matching procedure.
-fn try_regular_matching<R: Rng>(n: usize, r: usize, rng: &mut R) -> Option<Vec<(usize, usize)>> {
-    let mut stubs: Vec<VertexId> = (0..n).flat_map(|v| std::iter::repeat_n(v, r)).collect();
-    // cobra-lint: allow(R2, membership-only duplicate-edge filter; drained through a sort below)
-    let mut edges: HashSet<(usize, usize)> = HashSet::with_capacity(n * r / 2);
+/// The partners each vertex has been matched with so far: row `v` is
+/// `rows[v·r .. v·r + len[v]]`, and every accepted pair is written into both rows.
+struct PartnerTable {
+    r: usize,
+    rows: Vec<u32>,
+    len: Vec<u32>,
+}
 
+impl PartnerTable {
+    /// Whether `{u, v}` is already an edge: a scan of `u`'s row.
+    ///
+    /// Up to [`SHORT_ROW`] partners, the scan reads all `r` slots and masks those past the
+    /// row's length instead of stopping early: a fixed trip count leaves no branch to
+    /// mispredict, so the cache misses of consecutive pairs overlap (about 30 % off a pass
+    /// at `r = 8`). Longer rows are scanned up to their length only.
+    fn contains(&self, u: u32, v: u32) -> bool {
+        let start = u as usize * self.r;
+        let len = self.len[u as usize] as usize;
+        if self.r > SHORT_ROW {
+            return self.rows[start..start + len].contains(&v);
+        }
+        self.rows[start..start + self.r]
+            .iter()
+            .enumerate()
+            .fold(false, |found, (k, &w)| found | ((w == v) & (k < len)))
+    }
+
+    /// Records the edge `{u, v}` in both rows.
+    fn link(&mut self, u: u32, v: u32) {
+        for (a, b) in [(u, v), (v, u)] {
+            let len = &mut self.len[a as usize];
+            self.rows[a as usize * self.r + *len as usize] = b;
+            *len += 1;
+        }
+    }
+
+    /// The finished matching as a graph: every row is full, so the table is the CSR
+    /// neighbour array once each row is sorted, with `offsets[v] = v·r`.
+    fn into_graph(mut self) -> Graph {
+        self.rows.chunks_exact_mut(self.r).for_each(<[u32]>::sort_unstable);
+        let offsets = (0..=self.len.len()).map(|v| (v * self.r) as u32).collect();
+        Graph::from_valid_parts(offsets, self.rows)
+    }
+}
+
+/// One attempt of the Steger–Wormald stub-matching procedure; `false` means restart.
+///
+/// Each pass compacts the stubs it could not pair to the front of `stubs`, in order, so the
+/// next pass shuffles exactly the leftover sequence.
+fn try_regular_matching<R: Rng>(
+    stubs: &mut Vec<u32>,
+    partners: &mut PartnerTable,
+    rng: &mut R,
+) -> bool {
+    let (n, r) = (partners.len.len(), partners.r);
+    stubs.clear();
+    stubs.extend((0..n as u32).flat_map(|v| std::iter::repeat_n(v, r)));
+    partners.len.fill(0);
+
+    // The stub count starts even (`n·r` is) and each accepted pair removes two, so every
+    // pass pairs all of its stubs.
     while !stubs.is_empty() {
         stubs.shuffle(rng);
-        let mut leftover = Vec::new();
-        let mut progress = false;
-        let mut i = 0;
-        while i + 1 < stubs.len() {
+        let mut kept = 0;
+        for i in (0..stubs.len()).step_by(2) {
             let (u, v) = (stubs[i], stubs[i + 1]);
-            let key = (u.min(v), u.max(v));
-            if u != v && !edges.contains(&key) {
-                edges.insert(key);
-                progress = true;
+            if u != v && !partners.contains(u, v) {
+                partners.link(u, v);
             } else {
-                leftover.push(u);
-                leftover.push(v);
-            }
-            i += 2;
-        }
-        if i < stubs.len() {
-            leftover.push(stubs[i]);
-        }
-        if !progress {
-            // Check whether any valid pairing among the leftover stubs exists at all; if not,
-            // restart the whole attempt.
-            if !suitable(&leftover, &edges) {
-                return None;
+                stubs[kept] = u;
+                stubs[kept + 1] = v;
+                kept += 2;
             }
         }
-        stubs = leftover;
+        let progress = kept < stubs.len();
+        stubs.truncate(kept);
+        // Without progress, check whether any valid pairing among the leftover stubs exists
+        // at all; if not, restart the whole attempt.
+        if !progress && !suitable(stubs, partners) {
+            return false;
+        }
     }
-    // Sort before handing the edges onward: the set's iteration order is per-instance
-    // random, and the generator's output must depend only on the RNG seed.
-    let mut edges: Vec<(usize, usize)> = edges.into_iter().collect();
-    edges.sort_unstable();
-    Some(edges)
+    true
 }
 
 /// Returns `true` if some pair of remaining stubs can still form a new simple edge.
-// cobra-lint: allow(R2, the edge set is probed with `contains` only, never iterated)
-fn suitable(stubs: &[VertexId], edges: &HashSet<(usize, usize)>) -> bool {
-    if stubs.is_empty() {
-        return true;
-    }
-    let mut distinct: Vec<VertexId> = stubs.to_vec();
+fn suitable(stubs: &[u32], partners: &PartnerTable) -> bool {
+    let mut distinct = stubs.to_vec();
     distinct.sort_unstable();
     distinct.dedup();
-    for (i, &u) in distinct.iter().enumerate() {
-        for &v in &distinct[i + 1..] {
-            let key = (u.min(v), u.max(v));
-            if !edges.contains(&key) {
-                return true;
-            }
-        }
-    }
-    false
+    distinct
+        .iter()
+        .enumerate()
+        .any(|(i, &u)| distinct[i + 1..].iter().any(|&v| !partners.contains(u, v)))
 }
 
 /// Generates a **connected** random simple `r`-regular graph, resampling until connected.
@@ -326,6 +382,26 @@ mod tests {
         assert!(random_regular(0, 0, &mut r).is_err());
         assert!(random_regular(5, 5, &mut r).is_err());
         assert!(random_regular(5, 3, &mut r).is_err()); // odd n*r
+    }
+
+    #[test]
+    fn random_regular_rejects_oversized_requests_before_allocating() {
+        // Neither request may reach an allocation: each would need tens of GB of stubs.
+        let mut r = rng(3);
+        let limit = Graph::MAX_ENTRIES;
+        assert_eq!(
+            random_regular(1 << 31, 4, &mut r),
+            Err(GraphError::TooLarge { what: "arcs", count: 1 << 33, limit })
+        );
+        assert_eq!(
+            random_regular(usize::MAX / 2, 4, &mut r),
+            Err(GraphError::TooLarge { what: "vertices", count: usize::MAX / 2, limit })
+        );
+        // `n · r` overflows `usize` here; it is still reported as too large, not wrapped.
+        assert!(matches!(
+            random_regular(usize::MAX / 2, usize::MAX / 4, &mut r),
+            Err(GraphError::TooLarge { .. })
+        ));
     }
 
     #[test]

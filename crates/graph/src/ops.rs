@@ -32,22 +32,30 @@ pub fn bfs_distances(g: &Graph, source: VertexId) -> Vec<usize> {
     dist
 }
 
-/// The set of vertices reachable from `source`, including `source` itself.
-pub fn reachable_from(g: &Graph, source: VertexId) -> Vec<VertexId> {
-    bfs_distances(g, source)
-        .into_iter()
-        .enumerate()
-        .filter(|&(_, d)| d != usize::MAX)
-        .map(|(v, _)| v)
-        .collect()
-}
-
 /// Returns `true` if the graph is connected. The empty graph is considered connected.
+///
+/// One BFS from vertex 0 over a `u32` queue and a `seen` flag per vertex: the queue holds
+/// each reached vertex once, so its final length is the count compared with `n`. Time
+/// `O(n + m)`, memory `5n` bytes.
 pub fn is_connected(g: &Graph) -> bool {
-    if g.num_vertices() == 0 {
+    let n = g.num_vertices();
+    if n == 0 {
         return true;
     }
-    reachable_from(g, 0).len() == g.num_vertices()
+    let mut seen = vec![false; n];
+    let mut queue: Vec<u32> = Vec::with_capacity(n);
+    seen[0] = true;
+    queue.push(0);
+    let mut head = 0;
+    while let Some(&u) = queue.get(head) {
+        head += 1;
+        for &w in g.neighbors(u as usize) {
+            if !std::mem::replace(&mut seen[w as usize], true) {
+                queue.push(w);
+            }
+        }
+    }
+    queue.len() == n
 }
 
 /// Labels each vertex with its connected-component index (components numbered from 0 in

@@ -488,6 +488,24 @@ fn build_failures_return_structured_records_and_never_kill_workers() {
     handle.shutdown();
 }
 
+#[test]
+fn oversized_graphs_fail_the_job_before_allocating_and_the_worker_survives() {
+    let handle = server(1, 8 << 20, 64);
+    let mut client = Client::connect(handle.addr());
+    // 2^30 vertices of degree 8 need 2^33 arcs, past the 32-bit CSR: the build must fail
+    // at its size check instead of trying to allocate tens of GB.
+    let huge = params("cobra:k=2", "random-regular:n=1073741824,r=8", 1, 1, 1000);
+    let job = submit(&mut client, &huge);
+    let served = stream_results(&mut client, job);
+    assert_eq!(served.len(), 1, "{served:?}");
+    assert_eq!(event_of(&served[0]), "job-failed", "{served:?}");
+    assert!(json_str(&served[0], "message").contains("more than the CSR limit"), "{served:?}");
+    let good = params("cobra:k=2", "random-regular:n=64,r=4", 2, 1, 1000);
+    let job = submit(&mut client, &good);
+    assert_eq!(stream_results(&mut client, job), expected_lines(job, &good));
+    handle.shutdown();
+}
+
 // ---------------------------------------------------------------------------------------
 // Cancellation
 // ---------------------------------------------------------------------------------------
