@@ -5,9 +5,10 @@
 //! fixed `r ≥ 3` they are, with high probability, very good expanders (`λ → 2√(r-1)/r` by
 //! Friedman's theorem), which is exactly the regime of the paper's Theorem 1.
 //!
-//! [`random_regular`] runs in expected `O(n·r)` time for fixed `r` and holds two `n·r`
-//! arrays of 4-byte entries (the stubs and a partner table that becomes the graph's
-//! neighbour array); [`connected_random_regular`] adds one `O(n + n·r)` BFS per attempt.
+//! An attempt of [`random_regular`] takes `O(n·r²)` time, linear in `n` for fixed `r`, and
+//! holds two `n·r` arrays of 4-byte entries (the stubs and a partner table that becomes the
+//! graph's neighbour array); [`connected_random_regular`] adds one `O(n + n·r)` BFS per
+//! attempt.
 //! [`erdos_renyi_gnp`] and [`chung_lu`] still scan all `n(n−1)/2` vertex pairs.
 
 use rand::seq::SliceRandom;
@@ -19,10 +20,6 @@ use crate::{ops, Graph, GraphError, Result, VertexId};
 /// Maximum number of restarts for the stub-matching procedure before giving up.
 const MAX_RESTARTS: usize = 1000;
 
-/// The widest partner row [`PartnerTable::contains`] scans in full rather than up to its
-/// length.
-const SHORT_ROW: usize = 16;
-
 /// Generates a uniform-ish random simple `r`-regular graph on `n` vertices.
 ///
 /// Uses the pairing (stub-matching) procedure of Steger and Wormald: each vertex gets `r`
@@ -33,9 +30,9 @@ const SHORT_ROW: usize = 16;
 ///
 /// Cost: each pass shuffles the unpaired stubs and tests every candidate pair against a flat
 /// `n × r` table of the partners found so far, an `O(r)` scan of one row, so an attempt takes
-/// expected `O(n·r)` time for fixed `r` (the first pass pairs almost every stub). Memory is
-/// `n·r` 4-byte stubs plus the `n·r` 4-byte table and `n` row counts; the table, its rows
-/// sorted, is the finished graph's neighbour array, so nothing is copied at the end.
+/// `O(n·r²)` time, linear in `n` for fixed `r` (the first pass pairs almost every stub).
+/// Memory is `n·r` 4-byte stubs plus the `n·r` 4-byte table and `n` row counts; the table,
+/// its rows sorted, is the finished graph's neighbour array, so nothing is copied at the end.
 ///
 /// The result is **not** guaranteed to be connected; use [`connected_random_regular`] when the
 /// experiments require connectivity (for `r ≥ 3` a resample is almost never needed).
@@ -92,21 +89,9 @@ struct PartnerTable {
 
 impl PartnerTable {
     /// Whether `{u, v}` is already an edge: a scan of `u`'s row.
-    ///
-    /// Up to [`SHORT_ROW`] partners, the scan reads all `r` slots and masks those past the
-    /// row's length instead of stopping early: a fixed trip count leaves no branch to
-    /// mispredict, so the cache misses of consecutive pairs overlap (about 30 % off a pass
-    /// at `r = 8`). Longer rows are scanned up to their length only.
     fn contains(&self, u: u32, v: u32) -> bool {
         let start = u as usize * self.r;
-        let len = self.len[u as usize] as usize;
-        if self.r > SHORT_ROW {
-            return self.rows[start..start + len].contains(&v);
-        }
-        self.rows[start..start + self.r]
-            .iter()
-            .enumerate()
-            .fold(false, |found, (k, &w)| found | ((w == v) & (k < len)))
+        self.rows[start..start + self.len[u as usize] as usize].contains(&v)
     }
 
     /// Records the edge `{u, v}` in both rows.
