@@ -22,6 +22,16 @@
 //! full-vertex scan of a dense engine. The frontier is kept in
 //! ascending vertex order so the RNG draw sequence is *identical* to the dense reference
 //! engine in [`crate::reference`] (property-tested).
+//!
+//! At `n ≫ cache` (a random 8-regular graph on 10⁶ vertices is a 34 MiB CSR) a round is
+//! bound by memory latency, not by draws: each sender reads `offsets[u]` and then its
+//! row, two dependent misses in random places. Both draw sources therefore hint later
+//! senders' lines into cache while they process the current one — the `offsets` entry 16
+//! senders ahead and the row 8 senders ahead — so the misses of many senders overlap. In
+//! stream mode the lookahead stays inside each shard's slice. A frontier holding an eighth
+//! of the vertices or more walks the CSR almost sequentially, which the hardware
+//! prefetcher already follows, so such rounds hint nothing. A hint moves only cache
+//! lines: no draw, visiting order or output depends on it.
 
 use cobra_graph::{sample, Graph, VertexBitset, VertexId};
 use rand::{Rng, RngCore};
@@ -330,9 +340,41 @@ struct Sender<'a> {
     budgets: Option<&'a [u32]>,
     boost: u32,
     faults: &'a StepFaults<'a>,
+    /// Whether this round hints later senders' CSR lines into cache; see
+    /// [`DENSE_FRONTIER`].
+    lookahead: bool,
 }
 
+/// A frontier holding at least `1 / DENSE_FRONTIER` of the vertices is not prefetched.
+/// Its ascending senders are on average fewer than 8 ids apart, so they walk `offsets`
+/// and the rows almost sequentially, which the hardware prefetcher already follows; there
+/// the hints only add work (≈ 3 % per sender on saturated rounds at n = 10⁵, r = 8, on a
+/// 2-core x86-64 host).
+const DENSE_FRONTIER: usize = 8;
+/// How many senders ahead a step hints the `offsets` entry into cache.
+const OFFSETS_AHEAD: usize = 16;
+/// How many senders ahead a step hints the adjacency row into cache; half of
+/// [`OFFSETS_AHEAD`], so the `offsets` read that locates the row has already been hinted.
+const ROW_AHEAD: usize = 8;
+
 impl Sender<'_> {
+    /// Hints the two dependent CSR lines of later senders into cache while `senders[i]`
+    /// is processed: the `offsets` entry [`OFFSETS_AHEAD`] positions on and the row
+    /// [`ROW_AHEAD`] positions on. Positions past the end of `senders` are no-ops, and no
+    /// value or draw depends on a hint.
+    #[inline(always)]
+    fn prefetch_ahead(&self, senders: &[VertexId], i: usize) {
+        if !self.lookahead {
+            return;
+        }
+        if let Some(&v) = senders.get(i + OFFSETS_AHEAD) {
+            self.graph.prefetch_offsets(v);
+        }
+        if let Some(&v) = senders.get(i + ROW_AHEAD) {
+            self.graph.prefetch_row(v);
+        }
+    }
+
     /// Whether `u` pushes this round. A crashed vertex holds the token but never relays, and
     /// an isolated one has nobody to push to; neither draws, so stream mode never opens
     /// their streams.
@@ -411,6 +453,7 @@ impl SpreadingProcess for CobraProcess<'_> {
             budgets: self.budgets.as_deref(),
             boost: self.boost,
             faults,
+            lookahead: self.frontier.len() < self.graph.num_vertices() / DENSE_FRONTIER,
         };
         let mut next = NextRound {
             next: &mut self.next_active,
@@ -423,7 +466,8 @@ impl SpreadingProcess for CobraProcess<'_> {
             // The frontier is ascending, so the trial RNG's draw order matches the dense
             // engine's 0..n scan exactly.
             Draws::Trial(mut rng) => {
-                for &u in &self.frontier {
+                for (i, &u) in self.frontier.iter().enumerate() {
+                    sender.prefetch_ahead(&self.frontier, i);
                     if sender.relays(u) {
                         sender.push(u, &mut rng, |target| next.deliver(target));
                     }
@@ -435,8 +479,12 @@ impl SpreadingProcess for CobraProcess<'_> {
             Draws::Streams(engine) => {
                 let (frontier, round) = (&self.frontier, self.round as u64);
                 let shards = engine.shard_buffers(frontier.len(), |range, buffer| {
-                    let senders =
-                        frontier[range].iter().filter(|&&u| sender.relays(u)).map(|&u| u as u64);
+                    // The lookahead stays inside this shard's slice.
+                    let shard = &frontier[range];
+                    let senders = shard.iter().enumerate().filter_map(|(i, &u)| {
+                        sender.prefetch_ahead(shard, i);
+                        sender.relays(u).then_some(u as u64)
+                    });
                     engine.streams().for_each_stream(senders, round, |u, rng| {
                         sender.push(u as VertexId, rng, |target| buffer.push(target));
                     });

@@ -315,6 +315,25 @@ impl Graph {
         self.neighbors(v)[i] as VertexId
     }
 
+    /// Hints the `offsets` entry of `v` into cache: the first of the two dependent misses
+    /// a [`neighbors`](Self::neighbors) call takes on a large graph. A `v` that is not a
+    /// vertex is a no-op; no value changes either way.
+    #[inline]
+    pub fn prefetch_offsets(&self, v: VertexId) {
+        crate::prefetch::prefetch(&self.offsets, v);
+    }
+
+    /// Reads `offsets[v]` and hints the start of `v`'s row into cache, the second miss
+    /// of a [`neighbors`](Self::neighbors) call. Call it a few iterations after
+    /// [`prefetch_offsets`](Self::prefetch_offsets) for the same `v`, so that this read
+    /// hits. A `v` that is not a vertex is a no-op; no value changes either way.
+    #[inline]
+    pub fn prefetch_row(&self, v: VertexId) {
+        if let Some(&start) = self.offsets.get(v) {
+            crate::prefetch::prefetch(&self.neighbors, start as usize);
+        }
+    }
+
     /// Draws a uniformly random neighbour of `v`, or `None` if `v` is isolated.
     ///
     /// One `next_u64` draw per sample via the Lemire-style reduction of
@@ -616,6 +635,22 @@ mod tests {
         assert_eq!(g.degree(3), 0);
         assert_eq!(g.regular_degree(), None);
         assert_eq!(g.min_degree(), Some(0));
+    }
+
+    #[test]
+    fn prefetch_hints_accept_every_index_and_change_nothing() {
+        // The empty graph, the last vertex, a trailing vertex whose empty row starts at
+        // the end of the neighbour array, one past the last vertex and `usize::MAX`.
+        let trailing = Graph::from_edges(3, &[(0, 1)]).unwrap();
+        let before = trailing.clone();
+        for g in [&Graph::default(), &triangle(), &trailing] {
+            for v in [0, 1, 2, 3, 4, usize::MAX] {
+                g.prefetch_offsets(v);
+                g.prefetch_row(v);
+            }
+        }
+        assert_eq!(trailing, before);
+        assert_eq!(trailing.neighbors(2), &[] as &[u32]);
     }
 
     #[test]

@@ -36,8 +36,12 @@ pub fn bfs_distances(g: &Graph, source: VertexId) -> Vec<usize> {
 ///
 /// One BFS from vertex 0 over a `u32` queue and a `seen` flag per vertex: the queue holds
 /// each reached vertex once, so its final length is the count compared with `n`. Time
-/// `O(n + m)`, memory `5n` bytes.
+/// `O(n + m)`, memory `5n` bytes. On a graph much larger than the cache each dequeued
+/// vertex costs a random `offsets` read and a random row read, so the loop hints the row
+/// of the vertex 8 queue slots ahead into cache; the hint changes no result.
 pub fn is_connected(g: &Graph) -> bool {
+    /// How many queue slots ahead of the dequeued vertex its row is hinted into cache.
+    const ROW_AHEAD: usize = 8;
     let n = g.num_vertices();
     if n == 0 {
         return true;
@@ -48,6 +52,9 @@ pub fn is_connected(g: &Graph) -> bool {
     queue.push(0);
     let mut head = 0;
     while let Some(&u) = queue.get(head) {
+        if let Some(&ahead) = queue.get(head + ROW_AHEAD) {
+            g.prefetch_row(ahead as usize);
+        }
         head += 1;
         for &w in g.neighbors(u as usize) {
             if !std::mem::replace(&mut seen[w as usize], true) {
