@@ -16,11 +16,6 @@
 //! repro --process cobra:k=2+churn=64 --trials 20          # graph churn (fresh graph/trial)
 //! repro --list-processes       # show the spec syntax for every process
 //!
-//! # Bench mode: wall-clock the frontier engine vs the dense reference engine and track
-//! # the numbers in BENCH_cover.json (the --full matrix reaches 10^6-vertex instances).
-//! repro bench --quick --json BENCH_cover.json
-//! repro bench --full --json BENCH_cover.json --seed 2016
-//!
 //! # Serve mode: the same ad-hoc measurements over a TCP socket speaking NDJSON
 //! # (submit/batch/status/results/cancel/stats), bit-identical to the --process path.
 //! repro serve --port 7016 --workers 4 --cache-mb 64 --queue 64
@@ -44,8 +39,6 @@ struct Options {
     only: Option<ExperimentId>,
     list: bool,
     list_processes: bool,
-    bench: bool,
-    json: Option<String>,
     process: Option<ProcessSpec>,
     graph: Option<GraphFamily>,
     trials: Option<usize>,
@@ -59,7 +52,7 @@ struct Options {
 }
 
 impl Options {
-    /// The master seed for experiment/ad-hoc/bench modes (`--seed`, default 2016). Serve
+    /// The master seed for experiment and ad-hoc modes (`--seed`, default 2016). Serve
     /// mode rejects `--seed` instead: every submitted job carries its own seed field.
     fn master_seed(&self) -> u64 {
         self.seed.unwrap_or(2016)
@@ -69,7 +62,6 @@ impl Options {
 const HELP_TEXT: &str = "usage: repro [--full|--quick] [--exp e1..e12] [--seed N] [--list]\n\
      \x20      repro --process <spec> [--graph <spec>] [--trials N] [--max-rounds N]\n\
      \x20              [--threads N]\n\
-     \x20      repro bench [--full|--quick] [--json PATH] [--seed N] [--threads N]\n\
      \x20      repro serve [--port N] [--workers N] [--cache-mb N] [--queue N]\n\
      \x20      repro --list-processes\n\
      regenerates the experiment tables of the COBRA/BIPS reproduction,\n\
@@ -82,15 +74,11 @@ const HELP_TEXT: &str = "usage: repro [--full|--quick] [--exp e1..e12] [--seed N
      cobra:k=2+gedrop=0.1,0.25,0.5:scope=edge)\n\
      on one graph spec\n\
      (e.g. random-regular:n=256,r=4, torus:sides=32x32, erdos-renyi:n=256,p=0.05,\n\
-     barbell:k=32, chung-lu:n=1024,gamma=3,d=8, file:path=nets/topo.edges),\n\
-     or — with `bench` — wall-clocks the sparse-frontier engine\n\
-     against the dense reference engine per (process, graph) pair, sweeps the\n\
-     sharded stream engine across worker threads, and writes the JSON perf\n\
-     trajectory. --threads N runs ad-hoc trials on the per-vertex stream\n\
-     engine, each round cut into N shards (trajectories are identical for any\n\
-     N >= 1), or narrows the bench sweep to one worker count. Trials and shards\n\
-     share one pool of nproc threads: a multi-trial run spends it on trials and\n\
-     runs each trial's shards inline, so shards run in parallel with --trials 1.\n\
+     barbell:k=32, chung-lu:n=1024,gamma=3,d=8, file:path=nets/topo.edges).\n\
+     --threads N runs ad-hoc trials on the per-vertex stream engine, each round\n\
+     cut into N shards (trajectories are identical for any N >= 1). Trials and\n\
+     shards share one pool of nproc threads: a multi-trial run spends it on trials\n\
+     and runs each trial's shards inline, so shards run in parallel with --trials 1.\n\
      \n\
      `repro serve` exposes the ad-hoc path as a TCP service on 127.0.0.1 speaking\n\
      newline-delimited JSON: requests are one-line objects with a \"cmd\" field\n\
@@ -112,8 +100,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String>
         only: None,
         list: false,
         list_processes: false,
-        bench: false,
-        json: None,
         process: None,
         graph: None,
         trials: None,
@@ -128,7 +114,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String>
     let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "bench" => options.bench = true,
             "serve" => options.serve = true,
             "--port" => {
                 let value = args.next().ok_or("--port requires a TCP port (0 for ephemeral)")?;
@@ -162,10 +147,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String>
                         .to_string());
                 }
                 options.queue = Some(queue);
-            }
-            "--json" => {
-                let value = args.next().ok_or("--json requires an output path")?;
-                options.json = Some(value);
             }
             "--full" => options.preset = Preset::Full,
             "--quick" => options.preset = Preset::Quick,
@@ -225,12 +206,9 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String>
 }
 
 /// Rejects flag combinations where a flag would otherwise be silently ignored — every mode
-/// (bench / ad-hoc `--process` / experiment) accepts a different subset.
+/// (serve / listing / ad-hoc `--process` / experiment) accepts a different subset.
 fn mode_conflicts(options: &Options) -> Result<(), String> {
     if options.serve {
-        if options.bench {
-            return Err("`repro serve` and `repro bench` are separate modes; pick one".to_string());
-        }
         if options.process.is_some() || options.only.is_some() {
             return Err("`repro serve` takes jobs over the socket, not from flags; drop \
                  --process/--exp (submit {\"cmd\":\"submit\",\"spec\":...} instead)"
@@ -242,7 +220,6 @@ fn mode_conflicts(options: &Options) -> Result<(), String> {
             || options.threads.is_some()
             || options.seed.is_some()
             || options.preset == Preset::Full
-            || options.json.is_some()
             || options.list
             || options.list_processes
         {
@@ -261,26 +238,6 @@ fn mode_conflicts(options: &Options) -> Result<(), String> {
         return Err("--port/--workers/--cache-mb/--queue configure `repro serve`; add the \
              serve subcommand"
             .to_string());
-    }
-    if options.bench {
-        // The bench matrix is fixed so its JSON trajectory stays comparable across runs.
-        if options.process.is_some()
-            || options.graph.is_some()
-            || options.only.is_some()
-            || options.trials.is_some()
-            || options.max_rounds.is_some()
-            || options.list
-            || options.list_processes
-        {
-            return Err("`repro bench` runs a fixed matrix; --process/--graph/--exp/--trials/\
-                 --max-rounds/--list are not applicable (supported: --quick|--full, --seed, \
-                 --json, --threads)"
-                .to_string());
-        }
-        return Ok(());
-    }
-    if options.json.is_some() {
-        return Err("--json is only produced by `repro bench`".to_string());
     }
     if options.list || options.list_processes {
         if options.list && options.list_processes {
@@ -316,7 +273,7 @@ fn mode_conflicts(options: &Options) -> Result<(), String> {
     }
     if options.threads.is_some() {
         return Err("--threads selects the sharded stream engine, which only applies to \
-             ad-hoc --process runs and `repro bench`; experiment tables always run the \
+             ad-hoc --process runs; experiment tables always run the \
              bit-equivalence-checked sequential engine"
             .to_string());
     }
@@ -405,55 +362,6 @@ fn run_ad_hoc(options: &Options, spec: &ProcessSpec) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn run_bench(options: &Options) -> ExitCode {
-    let full = options.preset == Preset::Full;
-    // `--threads N` narrows the stream sweep to one worker count; the default sweep
-    // measures 1/2/4/8.
-    let sweep: Vec<usize> = match options.threads {
-        Some(threads) => vec![threads],
-        None => cobra_bench::bench::DEFAULT_THREAD_SWEEP.to_vec(),
-    };
-    eprintln!(
-        "# repro bench — {} matrix, seed {} (frontier vs dense, stream sweep {:?})",
-        if full { "full" } else { "quick" },
-        options.master_seed(),
-        sweep
-    );
-    let report = cobra_bench::bench::run_matrix(full, options.master_seed(), &sweep, |record| {
-        let engine = match record.threads {
-            Some(threads) => format!("{} t={threads}", record.engine),
-            None => record.engine.clone(),
-        };
-        eprintln!(
-            "  measured {} on {} [{}] ({} trials): {:.1}ms {engine} vs {:.1}ms {} ({:.1}x)",
-            record.process,
-            record.graph,
-            record.goal,
-            record.trials,
-            record.engine_ms,
-            record.baseline_ms,
-            record.baseline,
-            record.speedup
-        );
-    });
-    println!("{}", report.render());
-    if let Some(path) = &options.json {
-        let json = match serde_json::to_string_pretty(&report) {
-            Ok(json) => json,
-            Err(error) => {
-                eprintln!("error: cannot serialize bench report: {error:?}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(error) = std::fs::write(path, json + "\n") {
-            eprintln!("error: cannot write {path}: {error}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote {path}");
-    }
-    ExitCode::SUCCESS
-}
-
 fn run_serve(options: &Options) -> ExitCode {
     let config = cobra_experiments::serve::ServeConfig {
         port: options.port.unwrap_or(0),
@@ -495,9 +403,6 @@ fn main() -> ExitCode {
 
     if options.serve {
         return run_serve(&options);
-    }
-    if options.bench {
-        return run_bench(&options);
     }
     if options.list {
         for id in ExperimentId::all() {
@@ -571,8 +476,6 @@ mod tests {
         assert!(
             conflict(&["--process", "push+drop=0.1", "--threads", "8", "--trials", "3"]).is_ok()
         );
-        assert!(conflict(&["bench", "--quick", "--json", "out.json"]).is_ok());
-        assert!(conflict(&["bench", "--full", "--threads", "4"]).is_ok());
         assert!(conflict(&["--list"]).is_ok());
         assert!(conflict(&["--list-processes"]).is_ok());
     }
@@ -630,11 +533,18 @@ mod tests {
     }
 
     #[test]
-    fn bench_mode_still_rejects_everything_else() {
-        assert!(conflict(&["bench", "--exp", "e4"]).is_err());
-        assert!(conflict(&["bench", "--process", "cobra:k=2"]).is_err());
-        assert!(conflict(&["bench", "--trials", "4"]).is_err());
-        assert!(conflict(&["--json", "out.json"]).is_err());
+    fn bench_and_json_are_unknown_arguments() {
+        let parse = |args: &[&str]| parse_args(args.iter().map(|s| s.to_string()));
+        for (args, unknown) in [
+            (&["bench"][..], "\"bench\""),
+            (&["bench", "--quick"][..], "\"bench\""),
+            (&["serve", "bench"][..], "\"bench\""),
+            (&["--json", "out.json"][..], "\"--json\""),
+            (&["--exp", "e4", "--json", "out.json"][..], "\"--json\""),
+        ] {
+            let error = parse(args).err().unwrap_or_else(|| panic!("{args:?} must fail"));
+            assert_eq!(error, format!("unknown argument {unknown}"), "{args:?}");
+        }
     }
 
     #[test]
@@ -676,7 +586,6 @@ mod tests {
         assert!(error.contains("--process"), "{error}");
         let error = conflict(&["serve", "--exp", "e4"]).unwrap_err();
         assert!(error.contains("--exp") || error.contains("--process"), "{error}");
-        assert!(conflict(&["serve", "bench"]).is_err());
         // Per-job settings belong in the submit request, not on the server command line.
         for args in [
             &["serve", "--graph", "star:n=16"][..],
@@ -686,7 +595,6 @@ mod tests {
             &["serve", "--seed", "7"][..],
             &["serve", "--full"][..],
             &["serve", "--list"][..],
-            &["serve", "--json", "out.json"][..],
         ] {
             assert!(conflict(args).is_err(), "{args:?} must conflict");
         }

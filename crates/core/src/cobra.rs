@@ -21,7 +21,7 @@
 //! it visit only the non-zero words — `O(|C_t|·k + n/512)` total, instead of the `O(n)`
 //! full-vertex scan of a dense engine. The frontier is kept in
 //! ascending vertex order so the RNG draw sequence is *identical* to the dense reference
-//! engine in [`crate::reference`] (property-tested).
+//! engine in `tests/support/dense.rs` (property-tested).
 //!
 //! At `n ≫ cache` (a random 8-regular graph on 10⁶ vertices is a 34 MiB CSR) a round is
 //! bound by memory latency, not by draws: each sender reads `offsets[u]` and then its

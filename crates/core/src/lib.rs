@@ -46,9 +46,6 @@
 //!   boundary (`def=reseed:m=1%,cooldown=16`), servo `k` toward the growth-ratio closed
 //!   form (`def=adaptivek:target=growth-ratio`), or do nothing bit-identically
 //!   (`def=passive`).
-//! * [`reference`](mod@reference) — the retained dense-scan engines, used as the executable specification
-//!   the frontier engines are property-tested against and as the baseline `repro bench`
-//!   measures speedups over.
 //!
 //! # The sparse-frontier engine
 //!
@@ -71,8 +68,9 @@
 //!   the `O(1)` [`num_active`](process::SpreadingProcess::num_active) counter.
 //!
 //! Frontier iteration deliberately preserves the dense engines' ascending vertex order, so a
-//! frontier process driven by a seeded RNG reproduces the corresponding [`reference`](mod@reference) engine
-//! bit for bit — a property the test suite enforces for all seven processes.
+//! frontier process driven by a seeded RNG reproduces the corresponding dense-scan engine bit
+//! for bit — a property the test suite enforces for all seven processes against the dense
+//! engines kept in `tests/support/dense.rs`.
 //!
 //! # Quick start
 //!
@@ -133,7 +131,6 @@ pub mod growth;
 pub mod infection;
 pub mod parallel;
 pub mod process;
-pub mod reference;
 pub mod sim;
 pub mod spec;
 pub mod theory;

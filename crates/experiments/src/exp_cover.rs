@@ -37,7 +37,7 @@ pub struct Config {
 }
 
 impl Config {
-    /// Small preset used by unit tests and benchmark smoke runs.
+    /// Small preset used by unit tests and CI's smoke runs.
     pub fn quick() -> Self {
         Config {
             sizes: vec![64, 128, 256],
@@ -51,8 +51,8 @@ impl Config {
     /// Full preset used by the `repro` binary.
     ///
     /// The sweep tops out at 16384 vertices because every instance also runs a spectral
-    /// analysis; the frontier engine itself is benchmarked up to 10⁶ vertices by
-    /// `repro bench --full`, which skips the eigenvalue computation.
+    /// analysis; the frontier engine itself is benchmarked on 10⁵- and 10⁶-vertex instances
+    /// by perfbench (`BENCHMARK.json`), which skips the eigenvalue computation.
     pub fn full() -> Self {
         Config {
             sizes: vec![128, 256, 512, 1024, 2048, 4096, 8192, 16384],

@@ -24,7 +24,7 @@
 //! | E12 | Heterogeneous networks — power-law (Chung–Lu) topology, per-edge Gilbert–Elliott channels, degree-proportional budgets | [`exp_hetero`] |
 //!
 //! Every experiment is deterministic given a master seed and comes in a `quick` preset (used
-//! by unit tests and `cargo bench` smoke runs) and a `full` preset (used by the `repro`
+//! by unit tests and CI's smoke runs) and a `full` preset (used by the `repro`
 //! binary to regenerate the EXPERIMENTS.md numbers).
 //!
 //! Measurements are **spec-driven**: experiments describe the processes they compare as

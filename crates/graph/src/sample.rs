@@ -5,8 +5,8 @@
 //! turns one 64-bit RNG draw into an index below `bound` with a single widening multiply —
 //! no division, no rejection loop, and bias below `2^-64` for every realistic degree. It
 //! consumes exactly one `next_u64` per sample, which keeps the frontier engine's RNG stream
-//! aligned with the retained dense reference engine (whose `gen_range(0..degree)` performs
-//! the identical reduction).
+//! aligned with the dense reference engines of the equivalence tests (whose
+//! `gen_range(0..degree)` performs the identical reduction).
 
 use rand::RngCore;
 use rand_chacha::ChaCha8Stream;

@@ -19,14 +19,8 @@
 use crate::analysis::{Directive, FileAnalysis};
 use crate::report::Violation;
 
-/// Files where the banned R1 samplers are *defined* or deliberately mirrored: the shared
-/// Lemire primitive and the dense reference engines whose raison d'être is to reproduce the
-/// vendored `gen_range` reduction bit-for-bit.
-const R1_EXEMPT_FILES: &[&str] = &["crates/graph/src/sample.rs", "crates/core/src/reference.rs"];
-
-/// The dense reference engines are exempt from the `hot` obligation on `step_faulted`:
-/// they are clarity-first oracles, not production paths.
-const R3_REQUIRED_HOT_EXEMPT: &[&str] = &["crates/core/src/reference.rs"];
+/// Files where the banned R1 samplers are *defined*: the shared Lemire primitive.
+const R1_EXEMPT_FILES: &[&str] = &["crates/graph/src/sample.rs"];
 
 /// The policy modules whose `observe` impls run every round and must be annotated `hot`.
 const R3_POLICY_FILES: &[&str] = &["crates/core/src/adversary.rs", "crates/core/src/defense.rs"];
@@ -149,9 +143,7 @@ const ALLOCATING_METHODS: &[&str] = &["with_capacity", "to_vec", "to_owned", "to
 fn r3_hot_path_alloc(rel_path: &str, a: &FileAnalysis, out: &mut Vec<Violation>) {
     // Part 1: required-hot obligations.
     let requires_hot = |fn_name: &str| -> bool {
-        (in_crate(rel_path, "core")
-            && fn_name == "step_faulted"
-            && !R3_REQUIRED_HOT_EXEMPT.contains(&rel_path))
+        (in_crate(rel_path, "core") && fn_name == "step_faulted")
             || (R3_POLICY_FILES.contains(&rel_path) && fn_name == "observe")
     };
     for f in &a.fns {
@@ -352,7 +344,7 @@ mod tests {
     }
 
     #[test]
-    fn r1_exempts_the_sampler_and_reference_files() {
+    fn r1_exempts_the_sampler_file() {
         let src = "fn f(rng: &mut R) { rng.gen_range(0..10); }";
         assert!(run("crates/graph/src/sample.rs", src).is_empty());
     }

@@ -1,6 +1,6 @@
 //! Aligned text tables and CSV emission for experiment reports.
 //!
-//! The benchmark/`repro` binaries print one table per experiment in the same "rows and series"
+//! The `repro` binary prints one table per experiment in the same "rows and series"
 //! shape the paper's claims take; this module keeps that formatting in one place so the tables
 //! look identical across experiments.
 

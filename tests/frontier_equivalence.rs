@@ -8,13 +8,15 @@
 //! These property tests pin that contract on random-regular and torus instances across many
 //! seeds; any divergence in RNG consumption or set bookkeeping fails within a few rounds.
 
+mod support;
+
 use cobra::core::process::SpreadingProcess;
-use cobra::core::reference;
 use cobra::core::spec::ProcessSpec;
 use cobra::graph::{generators, Graph};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
+use support::dense as reference;
 
 /// One spec per process implementation (both COBRA branching modes, transient and
 /// persistent contact), with starts spread over the vertex range.

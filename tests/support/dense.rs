@@ -2,39 +2,29 @@
 //!
 //! Before the sparse-frontier rewrite, every `step` scanned all `n` vertices and cleared its
 //! scratch with `fill(false)`. Those implementations are kept here, verbatim in behaviour,
-//! for two jobs:
+//! as the oracle of `tests/frontier_equivalence.rs`: the frontier engines in `cobra`, `bips`
+//! and `baselines` are property-tested to reproduce these engines' per-round `active` /
+//! `visited` evolution *exactly* under the same seeded RNG (the frontier engines
+//! deliberately preserve the dense vertex visit order, and `cobra_graph::sample::uniform_index`
+//! performs the same reduction as `gen_range`, so the RNG streams coincide bit for bit).
 //!
-//! 1. **equivalence testing** — the frontier engines in [`cobra`](crate::cobra),
-//!    [`bips`](crate::bips) and [`baselines`](crate::baselines) are property-tested to
-//!    reproduce these engines' per-round `active` / `visited` evolution *exactly* under the
-//!    same seeded RNG (the frontier engines deliberately preserve the dense vertex visit
-//!    order, and `cobra_graph::sample::uniform_index` performs the same reduction as
-//!    `gen_range`, so the RNG streams coincide bit for bit);
-//! 2. **benchmark baselining** — `repro bench` times each dense engine against its frontier
-//!    replacement on identical seeds, so the speedup of every PR is measured against the
-//!    pre-frontier engine rather than guessed.
-//!
-//! These types are not meant for production simulation — use the frontier processes through
-//! [`ProcessSpec::build`](crate::spec::ProcessSpec::build) instead.
+//! These types are test support, not a simulation engine — simulations build the frontier
+//! processes through `ProcessSpec::build`.
 
-use cobra_graph::{Graph, VertexId};
+use cobra::core::baselines::contact::ContactParameters;
+use cobra::core::cobra::Branching;
+use cobra::core::spec::ProcessSpec;
+use cobra::core::{CoreError, Result};
+use cobra::graph::{Graph, VertexId};
 use rand::{Rng, RngCore};
-
-use crate::baselines::contact::ContactParameters;
-use crate::cobra::Branching;
-use crate::spec::ProcessSpec;
-use crate::{CoreError, Result};
 
 /// The observation surface shared by all dense reference engines.
 ///
-/// Mirrors the parts of [`SpreadingProcess`](crate::process::SpreadingProcess) the
-/// equivalence tests and benchmarks need, with the pre-rewrite `&[bool]` indicator instead of
-/// a bitset.
+/// Mirrors the parts of `SpreadingProcess` the equivalence tests need, with the pre-rewrite
+/// `&[bool]` indicator instead of a bitset.
 pub trait DenseProcess {
     /// Advances the process by one round with the historical dense scan.
     fn step(&mut self, rng: &mut dyn RngCore);
-    /// Number of rounds performed so far.
-    fn round(&self) -> usize;
     /// Dense indicator of the currently active set.
     fn active_indicator(&self) -> &[bool];
     /// Number of currently active vertices.
@@ -81,7 +71,7 @@ pub fn build_dense<'g>(
         // The dense engines are the executable specification of the *bare* processes; the
         // fault layer is property-tested against them separately (zero-fault wrappers must
         // match the bare frontier engines, which must match the dense engines).
-        ProcessSpec::Faulted { .. } => {
+        _ => {
             return Err(CoreError::InvalidParameters {
                 reason: "the dense reference engines model bare processes; strip the fault \
                          clauses to compare against them"
@@ -102,7 +92,6 @@ pub struct DenseCobra<'g> {
     num_active: usize,
     visited: Vec<bool>,
     num_visited: usize,
-    round: usize,
 }
 
 impl<'g> DenseCobra<'g> {
@@ -133,7 +122,6 @@ impl<'g> DenseCobra<'g> {
             num_active: 1,
             visited,
             num_visited: 1,
-            round: 0,
         }
     }
 }
@@ -170,11 +158,6 @@ impl DenseProcess for DenseCobra<'_> {
         }
         std::mem::swap(&mut self.active, &mut self.next_active);
         self.num_active = next_count;
-        self.round += 1;
-    }
-
-    fn round(&self) -> usize {
-        self.round
     }
 
     fn active_indicator(&self) -> &[bool] {
@@ -203,7 +186,6 @@ pub struct DenseBips<'g> {
     infected: Vec<bool>,
     next_infected: Vec<bool>,
     num_infected: usize,
-    round: usize,
 }
 
 impl<'g> DenseBips<'g> {
@@ -219,7 +201,6 @@ impl<'g> DenseBips<'g> {
             infected,
             next_infected: vec![false; n],
             num_infected: 1,
-            round: 0,
         }
     }
 }
@@ -256,11 +237,6 @@ impl DenseProcess for DenseBips<'_> {
         }
         std::mem::swap(&mut self.infected, &mut self.next_infected);
         self.num_infected = count;
-        self.round += 1;
-    }
-
-    fn round(&self) -> usize {
-        self.round
     }
 
     fn active_indicator(&self) -> &[bool] {
@@ -284,7 +260,6 @@ pub struct DenseWalk<'g> {
     active: Vec<bool>,
     visited: Vec<bool>,
     num_visited: usize,
-    round: usize,
 }
 
 impl<'g> DenseWalk<'g> {
@@ -295,7 +270,7 @@ impl<'g> DenseWalk<'g> {
         active[start] = true;
         let mut visited = vec![false; n];
         visited[start] = true;
-        DenseWalk { graph, position: start, active, visited, num_visited: 1, round: 0 }
+        DenseWalk { graph, position: start, active, visited, num_visited: 1 }
     }
 }
 
@@ -313,11 +288,6 @@ impl DenseProcess for DenseWalk<'_> {
                 self.num_visited += 1;
             }
         }
-        self.round += 1;
-    }
-
-    fn round(&self) -> usize {
-        self.round
     }
 
     fn active_indicator(&self) -> &[bool] {
@@ -346,7 +316,6 @@ pub struct DenseMultiWalks<'g> {
     num_active: usize,
     visited: Vec<bool>,
     num_visited: usize,
-    round: usize,
 }
 
 impl<'g> DenseMultiWalks<'g> {
@@ -364,7 +333,6 @@ impl<'g> DenseMultiWalks<'g> {
             num_active: 1,
             visited,
             num_visited: 1,
-            round: 0,
         }
     }
 }
@@ -388,11 +356,6 @@ impl DenseProcess for DenseMultiWalks<'_> {
                 self.num_visited += 1;
             }
         }
-        self.round += 1;
-    }
-
-    fn round(&self) -> usize {
-        self.round
     }
 
     fn active_indicator(&self) -> &[bool] {
@@ -418,7 +381,6 @@ pub struct DensePush<'g> {
     graph: &'g Graph,
     informed: Vec<bool>,
     num_informed: usize,
-    round: usize,
 }
 
 impl<'g> DensePush<'g> {
@@ -426,7 +388,7 @@ impl<'g> DensePush<'g> {
     pub fn new(graph: &'g Graph, start: VertexId) -> Self {
         let mut informed = vec![false; graph.num_vertices()];
         informed[start] = true;
-        DensePush { graph, informed, num_informed: 1, round: 0 }
+        DensePush { graph, informed, num_informed: 1 }
     }
 }
 
@@ -454,11 +416,6 @@ impl DenseProcess for DensePush<'_> {
                 self.num_informed += 1;
             }
         }
-        self.round += 1;
-    }
-
-    fn round(&self) -> usize {
-        self.round
     }
 
     fn active_indicator(&self) -> &[bool] {
@@ -480,7 +437,6 @@ pub struct DensePushPull<'g> {
     graph: &'g Graph,
     informed: Vec<bool>,
     num_informed: usize,
-    round: usize,
 }
 
 impl<'g> DensePushPull<'g> {
@@ -488,7 +444,7 @@ impl<'g> DensePushPull<'g> {
     pub fn new(graph: &'g Graph, start: VertexId) -> Self {
         let mut informed = vec![false; graph.num_vertices()];
         informed[start] = true;
-        DensePushPull { graph, informed, num_informed: 1, round: 0 }
+        DensePushPull { graph, informed, num_informed: 1 }
     }
 }
 
@@ -515,11 +471,6 @@ impl DenseProcess for DensePushPull<'_> {
                 self.num_informed += 1;
             }
         }
-        self.round += 1;
-    }
-
-    fn round(&self) -> usize {
-        self.round
     }
 
     fn active_indicator(&self) -> &[bool] {
@@ -545,7 +496,6 @@ pub struct DenseContact<'g> {
     infected: Vec<bool>,
     next_infected: Vec<bool>,
     num_infected: usize,
-    round: usize,
 }
 
 impl<'g> DenseContact<'g> {
@@ -567,7 +517,6 @@ impl<'g> DenseContact<'g> {
             infected,
             next_infected: vec![false; n],
             num_infected: 1,
-            round: 0,
         }
     }
 }
@@ -605,11 +554,6 @@ impl DenseProcess for DenseContact<'_> {
         }
         std::mem::swap(&mut self.infected, &mut self.next_infected);
         self.num_infected = count;
-        self.round += 1;
-    }
-
-    fn round(&self) -> usize {
-        self.round
     }
 
     fn active_indicator(&self) -> &[bool] {
@@ -628,7 +572,7 @@ impl DenseProcess for DenseContact<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cobra_graph::generators;
+    use cobra::graph::generators;
     use rand::SeedableRng;
     use rand_chacha::ChaCha12Rng;
 
