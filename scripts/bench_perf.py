@@ -1,28 +1,24 @@
 #!/usr/bin/env python3
-"""Record the benchmark's end-to-end metrics over a range of seeds in BENCH_perf.json.
+"""Record the benchmark's end-to-end metrics over seeds 1-5 in BENCH_perf.json.
 
 Runs the command from BENCHMARK.json once per seed for every workload, as
 perfbench/spread.py does, and writes for each workload and end-to-end metric the value of
 every seed, the median and the quartiles, with each run's host block and the git rev the
-runs were built from. Run it from the repository root on a committed tree; one run takes
-about 20 s per workload and seed (15 s measured plus set-up):
+runs were built from. The seeds are SEEDS (1-5). Run it from the repository root on a
+committed tree; one run takes about 20 s per workload and seed (15 s measured plus set-up):
 
-    python3 scripts/bench_perf.py --seeds 1-5
+    python3 scripts/bench_perf.py
 
 Exits non-zero and writes nothing if a run fails or reports a failed check.
 """
 
-import argparse
 import json
 import shlex
 import statistics
 import subprocess
 import sys
 
-
-def seeds_from(text):
-    lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
+SEEDS = list(range(1, 6))
 
 
 def host_block(stdout):
@@ -38,15 +34,11 @@ def host_block(stdout):
 
 def main():
     bench = json.load(open("BENCHMARK.json"))
-    parser = argparse.ArgumentParser()
-    parser.add_argument("--seeds", default="1-5")
-    args = parser.parse_args()
-    seeds = seeds_from(args.seeds)
     report = {"schema": "bench-perf-v1", "git_rev": None, "command": bench["command"],
-              "run_seconds": bench["run_seconds"], "seeds": seeds, "workloads": {}}
+              "run_seconds": bench["run_seconds"], "seeds": SEEDS, "workloads": {}}
     for workload in (w["name"] for w in bench["workloads"]):
         runs, values = [], {m["name"]: [] for m in bench["end_to_end"]}
-        for seed in seeds:
+        for seed in SEEDS:
             cmd = bench["command"] + ["--workload", workload, "--seed", str(seed),
                                       "--seconds", str(bench["run_seconds"]), "--trace", "0"]
             run = subprocess.run(cmd, capture_output=True, text=True, timeout=900)
