@@ -117,11 +117,6 @@ impl<'g> ContactProcess<'g> {
     pub fn extinct(&self) -> bool {
         self.frontier.is_empty()
     }
-
-    /// The process parameters.
-    pub fn parameters(&self) -> ContactParameters {
-        self.parameters
-    }
 }
 
 /// Where a sender's infections go.
@@ -449,7 +444,6 @@ mod tests {
             process.step(&mut r);
             assert_eq!(process.num_infected(), 1);
         }
-        assert_eq!(process.parameters().infection_probability, 0.0);
     }
 
     #[test]

@@ -81,16 +81,6 @@ impl<'g> MultipleRandomWalks<'g> {
         })
     }
 
-    /// Number of walkers.
-    pub fn num_walkers(&self) -> usize {
-        self.positions.len()
-    }
-
-    /// Current positions of all walkers.
-    pub fn positions(&self) -> &[VertexId] {
-        &self.positions
-    }
-
     /// Number of distinct vertices visited so far.
     pub fn num_visited(&self) -> usize {
         self.num_visited
@@ -345,10 +335,10 @@ mod tests {
             walks.step(&mut r);
             assert!(walks.num_active() <= 6);
             assert!(walks.num_active() >= 1);
-            assert_eq!(walks.positions().len(), 6);
+            assert_eq!(walks.positions.len(), 6);
             assert_eq!(walks.active().count(), walks.num_active());
             // Every occupied vertex is a walker position and vice versa.
-            for &p in walks.positions() {
+            for &p in &walks.positions {
                 assert!(walks.active().contains(p));
             }
         }
@@ -367,7 +357,7 @@ mod tests {
         }
         tokens.clear();
         walks.for_each_token(&mut |v| tokens.push(v));
-        assert_eq!(tokens, walks.positions(), "tokens are exactly the walker positions");
+        assert_eq!(tokens, walks.positions, "tokens are exactly the walker positions");
     }
 
     #[test]
@@ -377,10 +367,10 @@ mod tests {
         // Three walkers stacked on vertex 7, one on vertex 2: the occupancy set alone
         // would lose the stacking.
         walks.adopt_state(&[7, 7, 2, 7], None).unwrap();
-        assert_eq!(walks.positions(), &[7, 7, 2, 7]);
+        assert_eq!(walks.positions, &[7, 7, 2, 7]);
         assert_eq!(walks.num_active(), 2, "two occupied vertices");
         assert!(walks.active().contains(7) && walks.active().contains(2));
-        assert_eq!(walks.num_walkers(), 4, "walker count is conserved");
+        assert_eq!(walks.positions.len(), 4, "walker count is conserved");
         // The process keeps running correctly from the adopted configuration.
         let mut r = rng(4);
         assert!(run_until_complete(&mut walks, &mut r, 1_000_000).is_some());
@@ -391,7 +381,7 @@ mod tests {
         let g = generators::cycle(10).unwrap();
         let mut walks = MultipleRandomWalks::new(&g, 0, 5).unwrap();
         walks.adopt_state(&[1, 8], None).unwrap();
-        assert_eq!(walks.positions(), &[1, 8, 1, 8, 1]);
+        assert_eq!(walks.positions, &[1, 8, 1, 8, 1]);
         assert_eq!(walks.num_active(), 2);
         assert!(walks.adopt_state(&[], None).is_err(), "adopting nothing is rejected");
     }
@@ -405,8 +395,8 @@ mod tests {
         walks.reset();
         assert_eq!(walks.round(), 0);
         assert_eq!(walks.num_visited(), 1);
-        assert!(walks.positions().iter().all(|&p| p == 4));
-        assert_eq!(walks.num_walkers(), 3);
+        assert!(walks.positions.iter().all(|&p| p == 4));
+        assert_eq!(walks.positions.len(), 3);
         assert_eq!(walks.newly_activated(), &[4]);
         // The process still runs correctly after the reset.
         assert!(run_until_complete(&mut walks, &mut r, 100_000).is_some());

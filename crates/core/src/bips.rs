@@ -68,9 +68,6 @@ pub struct BipsProcess<'g> {
     next_list: Vec<VertexId>,
     /// `A_t \ A_{t-1}` after a step; `[source]` after construction/reset.
     newly: Vec<VertexId>,
-    /// Vertices that have been infected at least once (used for "ever infected" statistics;
-    /// unlike COBRA's visited set this is *not* the completion criterion).
-    ever_infected: VertexBitset,
     round: usize,
     /// Defense-layer sampling multiplier; 1 (the inert value) unless a defense boosts `k`.
     boost: u32,
@@ -110,8 +107,6 @@ impl<'g> BipsProcess<'g> {
         }
         let mut infected = VertexBitset::new(n);
         infected.insert(source);
-        let mut ever_infected = VertexBitset::new(n);
-        ever_infected.insert(source);
         Ok(BipsProcess {
             graph,
             source,
@@ -121,7 +116,6 @@ impl<'g> BipsProcess<'g> {
             next_infected: VertexBitset::new(n),
             next_list: Vec::new(),
             newly: vec![source],
-            ever_infected,
             round: 0,
             boost: 1,
         })
@@ -154,11 +148,6 @@ impl<'g> BipsProcess<'g> {
     /// Panics if `v` is not a vertex of the graph.
     pub fn is_infected(&self, v: VertexId) -> bool {
         self.infected.contains(v)
-    }
-
-    /// The set of vertices that have been infected in at least one round so far.
-    pub fn ever_infected(&self) -> &VertexBitset {
-        &self.ever_infected
     }
 }
 
@@ -218,7 +207,6 @@ struct NextRound<'a> {
     list: &'a mut Vec<VertexId>,
     infected: &'a VertexBitset,
     newly: &'a mut Vec<VertexId>,
-    ever_infected: &'a mut VertexBitset,
     source: VertexId,
 }
 
@@ -229,11 +217,8 @@ impl NextRound<'_> {
     fn admit(&mut self, u: VertexId) {
         self.next.insert(u);
         self.list.push(u);
-        if u != self.source {
-            if !self.infected.contains(u) {
-                self.newly.push(u);
-            }
-            self.ever_infected.insert(u);
+        if u != self.source && !self.infected.contains(u) {
+            self.newly.push(u);
         }
     }
 }
@@ -262,7 +247,6 @@ impl SpreadingProcess for BipsProcess<'_> {
             list: &mut self.next_list,
             infected: &self.infected,
             newly: &mut self.newly,
-            ever_infected: &mut self.ever_infected,
             source,
         };
         match draws {
@@ -331,13 +315,11 @@ impl SpreadingProcess for BipsProcess<'_> {
         for &v in active {
             if self.infected.insert(v) {
                 self.newly.push(v);
-                self.ever_infected.insert(v);
             }
         }
         // The persistent source is infected in every round by definition.
         if self.infected.insert(self.source) {
             self.newly.push(self.source);
-            self.ever_infected.insert(self.source);
         }
         self.infected.collect_into(&mut self.infected_list);
         self.round = 0;
@@ -359,7 +341,6 @@ impl SpreadingProcess for BipsProcess<'_> {
         for &v in vertices {
             if v < self.graph.num_vertices() && self.infected.insert(v) {
                 self.newly.push(v);
-                self.ever_infected.insert(v);
                 inserted += 1;
             }
         }
@@ -375,10 +356,8 @@ impl SpreadingProcess for BipsProcess<'_> {
         self.next_infected.clear_list(&self.next_list);
         self.infected_list.clear();
         self.next_list.clear();
-        self.ever_infected.clear();
         self.infected.insert(self.source);
         self.infected_list.push(self.source);
-        self.ever_infected.insert(self.source);
         self.newly.clear();
         self.newly.push(self.source);
         self.round = 0;
@@ -479,23 +458,6 @@ mod tests {
         let rounds = run_until_complete(&mut p, &mut rng(3), 10_000).unwrap();
         assert!(rounds < 60, "complete graph should be infected in O(log n) rounds, got {rounds}");
         assert!(p.is_complete());
-    }
-
-    #[test]
-    fn ever_infected_is_monotone_superset_of_current() {
-        let g = generators::hypercube(6).unwrap();
-        let mut p = BipsProcess::new(&g, 0, Branching::fixed(2).unwrap()).unwrap();
-        let mut r = rng(4);
-        let mut previous = 1usize;
-        for _ in 0..60 {
-            p.step(&mut r);
-            let ever = p.ever_infected().count();
-            assert!(ever >= previous, "ever-infected set must be monotone");
-            previous = ever;
-            for v in p.active().iter() {
-                assert!(p.ever_infected().contains(v));
-            }
-        }
     }
 
     #[test]

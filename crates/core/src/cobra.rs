@@ -195,8 +195,8 @@ pub struct CobraProcess<'g> {
     round: usize,
     /// Defense-layer branching multiplier; 1 (the inert value) unless a defense boosts `k`.
     boost: u32,
-    /// Resolved per-vertex push budgets (`Branching::PerVertex` or explicit budgets);
-    /// `None` for the uniform branching modes.
+    /// Resolved per-vertex push budgets (`Branching::PerVertex`); `None` for the uniform
+    /// branching modes.
     budgets: Option<Vec<u32>>,
 }
 
@@ -272,36 +272,6 @@ impl<'g> CobraProcess<'g> {
         Ok(process)
     }
 
-    /// Creates a COBRA process with an **explicit** per-vertex budget table: vertex `v`
-    /// pushes `budgets[v]` times per active round. The table must name every vertex and
-    /// every budget must be at least 1. [`CobraProcess::branching`] reports the uncapped
-    /// [`Branching::PerVertex`] marker for such a process.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CobraProcess::with_start_set`], plus [`CoreError::InvalidParameters`] if
-    /// the table's length is not the vertex count or any budget is 0.
-    pub fn with_budgets(graph: &'g Graph, starts: &[VertexId], budgets: Vec<u32>) -> Result<Self> {
-        if budgets.len() != graph.num_vertices() {
-            return Err(CoreError::InvalidParameters {
-                reason: format!(
-                    "budget table has {} entries for a graph with {} vertices",
-                    budgets.len(),
-                    graph.num_vertices()
-                ),
-            });
-        }
-        if let Some(zero) = budgets.iter().position(|&k| k == 0) {
-            return Err(CoreError::InvalidParameters {
-                reason: format!("vertex {zero} has budget 0; every vertex must push at least once"),
-            });
-        }
-        let mut process =
-            Self::with_start_set(graph, starts, Branching::PerVertex { cap: u32::MAX })?;
-        process.budgets = Some(budgets);
-        Ok(process)
-    }
-
     /// The underlying graph.
     pub fn graph(&self) -> &Graph {
         self.graph
@@ -320,15 +290,6 @@ impl<'g> CobraProcess<'g> {
     /// The set of vertices visited so far.
     pub fn visited(&self) -> &VertexBitset {
         &self.visited
-    }
-
-    /// Whether `v` has been visited (received the token at least once, or was a start vertex).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is not a vertex of the graph.
-    pub fn is_visited(&self, v: VertexId) -> bool {
-        self.visited.contains(v)
     }
 }
 
@@ -686,8 +647,8 @@ mod tests {
         assert_eq!(p.num_active(), 1);
         assert_eq!(p.num_visited(), 1);
         assert_eq!(p.newly_activated(), &[3]);
-        assert!(p.is_visited(3));
-        assert!(!p.is_visited(0));
+        assert!(p.visited().contains(3));
+        assert!(!p.visited().contains(0));
         assert!(!p.is_complete());
         assert_eq!(p.branching(), Branching::Fixed { k: 2 });
         assert_eq!(p.graph().num_vertices(), 10);
@@ -739,7 +700,7 @@ mod tests {
             assert!(p.num_visited() >= previous_visited);
             previous_visited = p.num_visited();
             for v in p.active().iter() {
-                assert!(p.is_visited(v), "active vertex {v} must be visited");
+                assert!(p.visited().contains(v), "active vertex {v} must be visited");
             }
         }
     }

@@ -50,16 +50,6 @@ impl<R> CountingRng<R> {
     pub fn reset_count(&mut self) {
         self.count = 0;
     }
-
-    /// The wrapped RNG.
-    pub fn inner(&self) -> &R {
-        &self.inner
-    }
-
-    /// Unwraps, discarding the count.
-    pub fn into_inner(self) -> R {
-        self.inner
-    }
 }
 
 impl<R: RngCore> RngCore for CountingRng<R> {

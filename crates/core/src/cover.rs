@@ -1,16 +1,15 @@
-//! Cover-time and hitting-time measurement for the COBRA process.
+//! Cover-time measurement for the COBRA process.
 //!
 //! The paper's central quantity is the cover time `cov(u)`: the number of rounds until every
-//! vertex has been visited by a COBRA process started at `u`. The measurement helpers here
-//! are thin wrappers over the unified [`sim::Runner`](crate::sim::Runner) loop and its
-//! observers — they exist so call sites keep a COBRA-specific vocabulary (cover, hitting
-//! times, coverage curve) while the stepping logic lives in one place.
+//! vertex has been visited by a COBRA process started at `u`. [`cover_time`] is a thin
+//! wrapper over the unified [`sim::Runner`](crate::sim::Runner) loop, so call sites keep a
+//! COBRA-specific vocabulary while the stepping logic lives in one place.
 
 use cobra_graph::{Graph, VertexId};
 use rand::RngCore;
 
 use crate::cobra::{Branching, CobraProcess};
-use crate::sim::{CoverageTrace, FirstVisitTimes, Runner};
+use crate::sim::Runner;
 use crate::Result;
 
 /// Outcome of a single COBRA run to completion.
@@ -41,101 +40,6 @@ pub fn cover_time(
     let mut process = CobraProcess::new(graph, start, branching)?;
     let rounds = Runner::new(max_rounds).completion_rounds(&mut process, rng)?;
     Ok(CoverOutcome { rounds, num_vertices: graph.num_vertices() })
-}
-
-/// Per-vertex first-visit times of a single COBRA run.
-///
-/// `hitting[v]` is the first round in which `v` became active (`0` for the start vertex);
-/// vertices never visited within the budget get `None`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HittingTimes {
-    /// First-visit round per vertex.
-    pub first_visit: Vec<Option<usize>>,
-    /// Rounds executed.
-    pub rounds: usize,
-}
-
-impl HittingTimes {
-    /// The hitting time of `target`, if it was reached.
-    pub fn hitting_time(&self, target: VertexId) -> Option<usize> {
-        self.first_visit.get(target).copied().flatten()
-    }
-
-    /// Whether every vertex was visited.
-    pub fn covered(&self) -> bool {
-        self.first_visit.iter().all(Option::is_some)
-    }
-
-    /// The cover time (maximum first-visit round), if every vertex was visited.
-    pub fn cover_time(&self) -> Option<usize> {
-        self.first_visit
-            .iter()
-            .copied()
-            .collect::<Option<Vec<usize>>>()
-            .map(|v| v.into_iter().max().unwrap_or(0))
-    }
-}
-
-/// Runs one COBRA trajectory from the start set `starts` for at most `max_rounds` rounds (or
-/// until covered) recording each vertex's first-visit round.
-///
-/// # Errors
-///
-/// Returns construction errors from [`CobraProcess::with_start_set`].
-// cobra-lint: draws(bounded)
-pub fn hitting_times(
-    graph: &Graph,
-    starts: &[VertexId],
-    branching: Branching,
-    max_rounds: usize,
-    rng: &mut dyn RngCore,
-) -> Result<HittingTimes> {
-    let mut process = CobraProcess::with_start_set(graph, starts, branching)?;
-    let mut visits = FirstVisitTimes::new();
-    let outcome = Runner::new(max_rounds).run_observed(&mut process, rng, &mut [&mut visits]);
-    Ok(HittingTimes { first_visit: visits.into_first_visit(), rounds: outcome.rounds })
-}
-
-/// The growth trace of one COBRA run: number of *distinct visited* vertices after each round
-/// (index 0 is the initial state), truncated at completion or the round budget.
-///
-/// # Errors
-///
-/// Returns construction errors from [`CobraProcess::new`].
-// cobra-lint: draws(bounded)
-pub fn coverage_curve(
-    graph: &Graph,
-    start: VertexId,
-    branching: Branching,
-    max_rounds: usize,
-    rng: &mut dyn RngCore,
-) -> Result<Vec<usize>> {
-    let mut process = CobraProcess::new(graph, start, branching)?;
-    let mut coverage = CoverageTrace::new();
-    Runner::new(max_rounds).run_observed(&mut process, rng, &mut [&mut coverage]);
-    Ok(coverage.into_trace())
-}
-
-/// Worst-case starting vertex: runs [`cover_time`] from every vertex (one trial each) and
-/// returns the maximum observed rounds. Intended for small graphs and unit tests; experiments
-/// aggregate many trials via the harness instead.
-///
-/// # Errors
-///
-/// Propagates the first error from [`cover_time`].
-// cobra-lint: draws(bounded)
-pub fn worst_case_cover_time(
-    graph: &Graph,
-    branching: Branching,
-    max_rounds: usize,
-    rng: &mut dyn RngCore,
-) -> Result<usize> {
-    let mut worst = 0usize;
-    for start in graph.vertices() {
-        let outcome = cover_time(graph, start, branching, max_rounds, rng)?;
-        worst = worst.max(outcome.rounds);
-    }
-    Ok(worst)
 }
 
 #[cfg(test)]
@@ -180,65 +84,19 @@ mod tests {
     }
 
     #[test]
-    fn hitting_times_structure() {
-        let g = generators::complete(32).unwrap();
-        let ht = hitting_times(&g, &[0], k2(), 10_000, &mut rng(4)).unwrap();
-        assert_eq!(ht.hitting_time(0), Some(0));
-        assert!(ht.covered());
-        let cover = ht.cover_time().unwrap();
-        assert_eq!(cover, ht.rounds);
-        // Hitting times are bounded by the cover time and at least 1 for non-start vertices.
-        for v in 1..32 {
-            let h = ht.hitting_time(v).unwrap();
-            assert!(h >= 1 && h <= cover);
-        }
-        assert_eq!(ht.hitting_time(999), None);
-    }
-
-    #[test]
-    fn hitting_times_with_budget_too_small_leaves_gaps() {
-        let g = generators::cycle(40).unwrap();
-        let ht = hitting_times(&g, &[0], k2(), 2, &mut rng(5)).unwrap();
-        assert!(!ht.covered());
-        assert_eq!(ht.cover_time(), None);
-        assert_eq!(ht.rounds, 2);
-        // Vertices at distance more than 2 cannot have been reached.
-        assert_eq!(ht.hitting_time(20), None);
-    }
-
-    #[test]
-    fn coverage_curve_is_monotone_and_ends_at_n() {
-        let g = generators::hypercube(7).unwrap();
-        let curve = coverage_curve(&g, 0, k2(), 100_000, &mut rng(6)).unwrap();
-        assert_eq!(curve[0], 1);
-        assert!(curve.windows(2).all(|w| w[1] >= w[0]), "visited count must be monotone");
-        assert_eq!(*curve.last().unwrap(), 128);
-        // Early growth is at most a doubling per round (k = 2).
-        for w in curve.windows(2) {
-            assert!(w[1] <= 2 * w[0] + 1);
-        }
-    }
-
-    #[test]
-    fn worst_case_cover_time_dominates_a_single_run() {
-        let g = generators::petersen().unwrap();
-        let single = cover_time(&g, 0, k2(), 10_000, &mut rng(7)).unwrap().rounds;
-        let worst = worst_case_cover_time(&g, k2(), 10_000, &mut rng(7)).unwrap();
-        assert!(worst >= 1);
-        assert!(worst + 50 > single, "sanity: both quantities are in the same ballpark");
-    }
-
-    #[test]
     fn multi_start_covers_faster_on_average_than_single_start() {
         // Not a theorem, but overwhelmingly true on a cycle where both arcs must be traversed.
         let g = generators::cycle(60).unwrap();
         let trials = 10;
         let mut single = 0usize;
         let mut multi = 0usize;
+        let rounds = |starts: &[VertexId], seed: u64| {
+            let mut process = CobraProcess::with_start_set(&g, starts, k2()).unwrap();
+            Runner::new(100_000).run(&mut process, &mut rng(seed)).rounds
+        };
         for t in 0..trials {
-            single += hitting_times(&g, &[0], k2(), 100_000, &mut rng(100 + t)).unwrap().rounds;
-            multi +=
-                hitting_times(&g, &[0, 20, 40], k2(), 100_000, &mut rng(200 + t)).unwrap().rounds;
+            single += rounds(&[0], 100 + t);
+            multi += rounds(&[0, 20, 40], 200 + t);
         }
         assert!(
             multi < single,

@@ -43,8 +43,8 @@
 //! stall-triggered boosting restores the expansion slack Theorem 1's argument needs.
 //! `reseed` re-activates up to `m` covered vertices adjacent to the uncovered region, but
 //! only when the frontier has died entirely, then waits out a cooldown. `adaptivek`
-//! servo-controls the multiplier toward the growth-ratio closed form of
-//! [`growth::growth_lower_bound`](crate::growth::growth_lower_bound).
+//! servo-controls the multiplier toward the growth-ratio closed form of Lemma 1 (see
+//! [`growth`](crate::growth)).
 //!
 //! # Architecture
 //!
@@ -295,7 +295,7 @@ const ADAPTIVE_K_CAP: u32 = 8;
 
 /// The `def=adaptivek` servo: steers the branching multiplier so the observed per-round
 /// coverage growth tracks the growth-ratio closed form
-/// `|A|·(1 + (1−λ²)(1−|A|/n))` of [`growth_lower_bound`](crate::growth::growth_lower_bound).
+/// `|A|·(1 + (1−λ²)(1−|A|/n))` of Lemma 1 (see [`growth`](crate::growth)).
 ///
 /// The spectral slack `1−λ²` is not observable at run time, so the policy keeps an online
 /// estimate: each round's realised ratio implies a slack `(ratio − 1)/(1 − |A|/n)`, folded
@@ -559,7 +559,7 @@ mod tests {
         base: &ProcessSpec,
         policy: Box<dyn DefensePolicy>,
     ) -> FaultedProcess<'g> {
-        FaultedProcess::new(base, &FaultPlan::none(), graph).unwrap().with_defense(policy)
+        FaultedProcess::new(base, &FaultPlan::default(), graph).unwrap().with_defense(policy)
     }
 
     fn examples() -> Vec<DefenseSpec> {

@@ -365,7 +365,7 @@ pub fn verify_duality_exact_for_set(
 ///
 /// Propagates construction errors from [`CobraProcess::with_start_set`].
 // cobra-lint: draws(bounded)
-pub fn estimate_cobra_hit_tail<R: Rng + ?Sized>(
+fn estimate_cobra_hit_tail<R: Rng + ?Sized>(
     graph: &Graph,
     start_set: &[VertexId],
     target: VertexId,
@@ -406,7 +406,7 @@ pub fn estimate_cobra_hit_tail<R: Rng + ?Sized>(
 ///
 /// Propagates construction errors from [`BipsProcess::new`].
 // cobra-lint: draws(bounded)
-pub fn estimate_bips_avoidance<R: Rng + ?Sized>(
+fn estimate_bips_avoidance<R: Rng + ?Sized>(
     graph: &Graph,
     source: VertexId,
     avoid_set: &[VertexId],
@@ -445,14 +445,6 @@ pub struct MonteCarloDuality {
     pub z_score: f64,
     /// Trials used per side.
     pub trials: usize,
-}
-
-impl MonteCarloDuality {
-    /// Whether the two estimates are statistically compatible at the given |z| threshold
-    /// (e.g. `3.0` for a ~99.7% two-sided test).
-    pub fn compatible(&self, z_threshold: f64) -> bool {
-        self.z_score.abs() <= z_threshold
-    }
 }
 
 /// Compares Monte-Carlo estimates of both sides of Theorem 4 at round `t` with a
@@ -682,7 +674,7 @@ mod tests {
         let g = generators::connected_random_regular(64, 3, &mut r).unwrap();
         let check = verify_duality_monte_carlo(&g, &[0], 17, k2(), 5, 3000, &mut r).unwrap();
         assert!(
-            check.compatible(4.0),
+            check.z_score.abs() <= 4.0,
             "z = {} (cobra {} vs bips {})",
             check.z_score,
             check.cobra_tail,

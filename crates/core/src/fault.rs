@@ -162,7 +162,7 @@ impl DropModel {
     }
 
     /// Whether the model can never lose a message (and therefore never touches the RNG).
-    pub fn is_lossless(&self) -> bool {
+    fn is_lossless(&self) -> bool {
         match self {
             DropModel::Iid { f } => *f == 0.0,
             DropModel::GilbertElliott { f_bad, f_good, .. }
@@ -290,11 +290,6 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// A plan injecting no faults at all.
-    pub fn none() -> Self {
-        FaultPlan::default()
-    }
-
     /// A plan with only i.i.d. message drop.
     ///
     /// # Errors
@@ -371,7 +366,7 @@ impl FaultPlan {
     /// out-of-range clauses.
     pub fn parse_clauses(text: &str) -> Result<Self> {
         let invalid = |reason: String| CoreError::InvalidParameters { reason };
-        let mut plan = FaultPlan::none();
+        let mut plan = FaultPlan::default();
         let (mut seen_drop, mut seen_crash, mut seen_repair, mut seen_churn, mut seen_adv) =
             (false, false, false, false, false);
         let mut seen_def = false;
@@ -645,27 +640,27 @@ impl<'a> StepFaults<'a> {
     }
 
     /// The global i.i.d. per-transmission drop probability of the current round.
-    pub fn drop_probability(&self) -> f64 {
+    pub(crate) fn drop_probability(&self) -> f64 {
         self.drop
     }
 
     /// The crashed set, if any.
-    pub fn crashed_set(&self) -> Option<&'a VertexBitset> {
+    pub(crate) fn crashed_set(&self) -> Option<&'a VertexBitset> {
         self.crashed
     }
 
     /// The targeted-drop probability (0 when no sender set is targeted).
-    pub fn targeted_drop_probability(&self) -> f64 {
+    pub(crate) fn targeted_drop_probability(&self) -> f64 {
         self.targeted_drop
     }
 
     /// The targeted sender set, if any.
-    pub fn targeted_set(&self) -> Option<&'a VertexBitset> {
+    pub(crate) fn targeted_set(&self) -> Option<&'a VertexBitset> {
         self.targeted
     }
 
     /// The severed-cut side membership, if a partition is active.
-    pub fn severed_side(&self) -> Option<&'a VertexBitset> {
+    pub(crate) fn severed_side(&self) -> Option<&'a VertexBitset> {
         self.severed
     }
 
@@ -919,11 +914,6 @@ impl EdgeChannels {
         self.bad.clear();
         self.until_onset = 0;
         self.round_started = false;
-    }
-
-    /// Number of edges currently in the bad state.
-    pub(crate) fn num_bad(&self) -> usize {
-        self.bad.len()
     }
 
     /// The per-transmission loss probability on edge `{from, to}` this round.
@@ -1383,19 +1373,9 @@ impl<'g> FaultedProcess<'g> {
         self.dynamics.crashed()
     }
 
-    /// Number of edges whose per-edge channel is currently bad (0 without a bank).
-    pub fn num_bad_edges(&self) -> usize {
-        self.edges.as_ref().map_or(0, EdgeChannels::num_bad)
-    }
-
     /// What the defense has spent so far this trial (all zeros without a defense).
     pub fn stats(&self) -> DefenseStats {
         self.stats
-    }
-
-    /// The wrapped process.
-    pub fn inner(&self) -> &dyn SpreadingProcess {
-        self.inner.as_ref()
     }
 }
 
@@ -1719,7 +1699,7 @@ mod tests {
         assert!(bad_pct.validate().is_err());
         let bad_churn = FaultPlan { churn: Some(0), ..FaultPlan::default() };
         assert!(bad_churn.validate().is_err());
-        assert!(FaultPlan::none().is_benign());
+        assert!(FaultPlan::default().is_benign());
         assert!(!FaultPlan::with_drop(0.1).unwrap().is_benign());
         // Gilbert–Elliott fields are all probabilities.
         for bad in [
@@ -1824,7 +1804,7 @@ mod tests {
         assert_eq!(mixed.to_string(), "drop=0.1+adv=oblivious");
 
         // The benign plan still renders something parseable.
-        assert_eq!(FaultPlan::none().to_string(), "drop=0");
+        assert_eq!(FaultPlan::default().to_string(), "drop=0");
         assert!(FaultPlan::parse_clauses("drop=0").unwrap().is_benign());
     }
 
@@ -1865,7 +1845,7 @@ mod tests {
     #[test]
     fn plan_serde_round_trip() {
         let plans = vec![
-            FaultPlan::none(),
+            FaultPlan::default(),
             FaultPlan::with_drop(0.25).unwrap(),
             FaultPlan { crash: CrashSpec::Percent { percent: 5.0 }, ..FaultPlan::default() },
             FaultPlan {
@@ -1925,7 +1905,8 @@ mod tests {
     fn sampled_crash_sets_have_the_right_size_and_spare_the_start() {
         let graph = generators::complete(40).unwrap();
         let spec = ProcessSpec::cobra(2).unwrap();
-        let plan = FaultPlan { crash: CrashSpec::Percent { percent: 25.0 }, ..FaultPlan::none() };
+        let plan =
+            FaultPlan { crash: CrashSpec::Percent { percent: 25.0 }, ..FaultPlan::default() };
         for seed in 0..20 {
             let mut faulted = FaultedProcess::new(&spec, &plan, &graph).unwrap();
             let mut r = rng(seed);
@@ -2066,7 +2047,8 @@ mod tests {
     fn permanent_plans_keep_the_crash_set_fixed() {
         let graph = generators::complete(32).unwrap();
         let spec = ProcessSpec::push();
-        let plan = FaultPlan { crash: CrashSpec::Percent { percent: 25.0 }, ..FaultPlan::none() };
+        let plan =
+            FaultPlan { crash: CrashSpec::Percent { percent: 25.0 }, ..FaultPlan::default() };
         let mut faulted = FaultedProcess::new(&spec, &plan, &graph).unwrap();
         let mut r = rng(3);
         faulted.step_faulted(Draws::Trial(&mut r), &StepFaults::NONE);
@@ -2111,7 +2093,7 @@ mod tests {
         let graph = generators::path(3).unwrap();
         let spec = ProcessSpec::cobra(2).unwrap();
         let plan =
-            FaultPlan { crash: CrashSpec::Vertices { vertices: vec![1] }, ..FaultPlan::none() };
+            FaultPlan { crash: CrashSpec::Vertices { vertices: vec![1] }, ..FaultPlan::default() };
         let mut faulted = FaultedProcess::new(&spec, &plan, &graph).unwrap();
         let mut r = rng(3);
         assert_eq!(run_until_complete(&mut faulted, &mut r, 500), None);
@@ -2210,7 +2192,7 @@ mod tests {
         let mut counting = crate::CountingRng::new(rng(3));
         channels.advance(&mut counting);
         assert_eq!(counting.take_count(), 1, "round 1 draws exactly the onset-clock word");
-        assert_eq!(channels.num_bad(), 0, "channels start good");
+        assert_eq!(channels.bad.len(), 0, "channels start good");
         let scheduled = channels.until_onset;
         assert!(scheduled > 1, "seed chosen so the clock does not fire immediately");
         for _ in 1..scheduled {
@@ -2238,7 +2220,7 @@ mod tests {
         let mut states = Vec::new();
         for _ in 0..6 {
             channels.advance(&mut counting);
-            states.push(channels.num_bad());
+            states.push(channels.bad.len());
         }
         assert_eq!(states, vec![0, m, 0, m, 0, m]);
         assert_eq!(counting.count(), 0, "deterministic transitions draw nothing");
@@ -2263,7 +2245,7 @@ mod tests {
         let mut saw_mixed = false;
         for _ in 0..200 {
             channels.advance(&mut r);
-            let bad = channels.num_bad();
+            let bad = channels.bad.len();
             if bad > 0 && bad < m {
                 saw_mixed = true;
                 break;
@@ -2291,7 +2273,7 @@ mod tests {
         let spec = ProcessSpec::push();
         let faulted = FaultedProcess::new(&spec, &edge_plan(0.1, 0.25, 0.5, 0.0), &graph).unwrap();
         assert!(faulted.edges.is_some(), "a lossy edge plan runs a bank");
-        assert_eq!(faulted.num_bad_edges(), 0, "channels start good");
+        assert!(faulted.edges.as_ref().unwrap().bad.is_empty(), "channels start good");
         // A lossless edge plan needs no bank and behaves as a benign wrapper.
         let benign = FaultedProcess::new(&spec, &edge_plan(0.3, 0.7, 0.0, 0.0), &graph).unwrap();
         assert!(benign.edges.is_none());
@@ -2332,7 +2314,7 @@ mod tests {
         let mut faulted = FaultedProcess::new(&spec, &plan, &graph).unwrap();
         let first = run_until_complete(&mut faulted, &mut rng(23), 100_000);
         faulted.reset();
-        assert_eq!(faulted.num_bad_edges(), 0, "reset restores all-good channels");
+        assert!(faulted.edges.as_ref().unwrap().bad.is_empty(), "reset restores all-good channels");
         let second = run_until_complete(&mut faulted, &mut rng(23), 100_000);
         assert_eq!(first, second);
     }

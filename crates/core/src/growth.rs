@@ -31,7 +31,7 @@ use crate::{CoreError, Result};
 ///
 /// Returns [`CoreError::VertexOutOfRange`] for an out-of-range source or set member and
 /// [`CoreError::InvalidParameters`] if the source is not a member of `infected`.
-pub fn exact_expected_next_size(
+fn exact_expected_next_size(
     graph: &Graph,
     source: VertexId,
     infected: &[VertexId],
@@ -82,7 +82,7 @@ pub fn exact_expected_next_size(
 
 /// The Lemma 1 lower bound `|A| (1 + (1-λ²)(1 - |A|/n))` for `k = 2`, or the Corollary 1
 /// bound `|A| (1 + ρ(1-λ²)(1 - |A|/n))` for fractional branching `1 + ρ`.
-pub fn growth_lower_bound(set_size: usize, n: usize, lambda: f64, branching: Branching) -> f64 {
+fn growth_lower_bound(set_size: usize, n: usize, lambda: f64, branching: Branching) -> f64 {
     if n == 0 {
         return 0.0;
     }
@@ -110,7 +110,9 @@ pub fn growth_lower_bound(set_size: usize, n: usize, lambda: f64, branching: Bra
 ///
 /// # Errors
 ///
-/// Same validation errors as [`exact_expected_next_size`].
+/// Returns [`CoreError::VertexOutOfRange`] for an out-of-range source or set member and
+/// [`CoreError::InvalidParameters`] if the source is not a member of `infected` or the
+/// branching is a per-vertex degree budget.
 // cobra-lint: draws(bounded)
 pub fn sampled_expected_next_size<R: Rng + ?Sized>(
     graph: &Graph,

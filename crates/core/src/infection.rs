@@ -10,8 +10,8 @@ use rand::RngCore;
 
 use crate::bips::BipsProcess;
 use crate::cobra::Branching;
-use crate::sim::{ActiveCountTrace, Runner, StopReason};
-use crate::{CoreError, Result};
+use crate::sim::{ActiveCountTrace, Runner};
+use crate::Result;
 
 /// Outcome of a single BIPS run to full infection.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,7 +27,8 @@ pub struct InfectionOutcome {
 /// # Errors
 ///
 /// Returns construction errors from [`BipsProcess::new`] and
-/// [`CoreError::RoundBudgetExceeded`] if full infection is not reached within `max_rounds`.
+/// [`CoreError::RoundBudgetExceeded`](crate::CoreError::RoundBudgetExceeded) if full
+/// infection is not reached within `max_rounds`.
 // cobra-lint: draws(bounded)
 pub fn infection_time(
     graph: &Graph,
@@ -61,55 +62,10 @@ pub fn infection_curve(
     Ok(counts.into_trace())
 }
 
-/// First round at which the infected set reaches at least `fraction` of all vertices, within
-/// the budget.
-///
-/// # Errors
-///
-/// Returns [`CoreError::InvalidParameters`] if `fraction` is not in `(0, 1]`, construction
-/// errors from [`BipsProcess::new`], and [`CoreError::RoundBudgetExceeded`] if the threshold
-/// is not reached in time.
-// cobra-lint: draws(bounded)
-pub fn time_to_fraction(
-    graph: &Graph,
-    source: VertexId,
-    branching: Branching,
-    fraction: f64,
-    max_rounds: usize,
-    rng: &mut dyn RngCore,
-) -> Result<usize> {
-    let mut process = BipsProcess::new(graph, source, branching)?;
-    let outcome = Runner::new(max_rounds).until_coverage(fraction)?.run(&mut process, rng);
-    match outcome.reason {
-        StopReason::TargetReached | StopReason::Completed => Ok(outcome.rounds),
-        StopReason::BudgetExhausted => Err(CoreError::RoundBudgetExceeded { max_rounds }),
-    }
-}
-
-/// Worst-case source: runs [`infection_time`] from every vertex (one trial each) and returns
-/// the maximum observed rounds. Intended for small graphs and tests.
-///
-/// # Errors
-///
-/// Propagates the first error from [`infection_time`].
-// cobra-lint: draws(bounded)
-pub fn worst_case_infection_time(
-    graph: &Graph,
-    branching: Branching,
-    max_rounds: usize,
-    rng: &mut dyn RngCore,
-) -> Result<usize> {
-    let mut worst = 0usize;
-    for source in graph.vertices() {
-        let outcome = infection_time(graph, source, branching, max_rounds, rng)?;
-        worst = worst.max(outcome.rounds);
-    }
-    Ok(worst)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CoreError;
     use cobra_graph::generators;
     use rand::SeedableRng;
     use rand_chacha::ChaCha12Rng;
@@ -146,45 +102,6 @@ mod tests {
         assert_eq!(*curve.last().unwrap(), 128);
         // Unlike COBRA's visited set, |A_t| need not be monotone, but it is always >= 1.
         assert!(curve.iter().all(|&a| a >= 1));
-    }
-
-    #[test]
-    fn time_to_fraction_is_monotone_in_the_fraction() {
-        let g = generators::connected_random_regular(128, 4, &mut rng(4)).unwrap();
-        let t_half = time_to_fraction(&g, 0, k2(), 0.5, 100_000, &mut rng(5)).unwrap();
-        let t_nine_tenths = time_to_fraction(&g, 0, k2(), 0.9, 100_000, &mut rng(5)).unwrap();
-        assert!(t_half <= t_nine_tenths);
-        assert_eq!(time_to_fraction(&g, 0, k2(), 1.0 / 128.0, 10, &mut rng(6)).unwrap(), 0);
-    }
-
-    #[test]
-    fn time_to_fraction_validates_input() {
-        let g = generators::complete(8).unwrap();
-        assert!(matches!(
-            time_to_fraction(&g, 0, k2(), 0.0, 10, &mut rng(7)),
-            Err(CoreError::InvalidParameters { .. })
-        ));
-        assert!(matches!(
-            time_to_fraction(&g, 0, k2(), 1.5, 10, &mut rng(7)),
-            Err(CoreError::InvalidParameters { .. })
-        ));
-    }
-
-    #[test]
-    fn time_to_fraction_budget_exhaustion_is_an_error() {
-        let g = generators::cycle(60).unwrap();
-        assert_eq!(
-            time_to_fraction(&g, 0, k2(), 0.9, 2, &mut rng(8)),
-            Err(CoreError::RoundBudgetExceeded { max_rounds: 2 })
-        );
-    }
-
-    #[test]
-    fn worst_case_infection_time_runs_all_sources() {
-        let g = generators::petersen().unwrap();
-        let worst = worst_case_infection_time(&g, k2(), 100_000, &mut rng(8)).unwrap();
-        assert!(worst >= 2, "even the best source needs a couple of rounds, got {worst}");
-        assert!(worst < 1000);
     }
 
     #[test]

@@ -161,11 +161,6 @@ impl ParallelFrontier {
         &self.streams
     }
 
-    /// The worker-thread count shard fan-outs use.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// The independent ChaCha8 stream of `entity` at `round` — shorthand for
     /// `self.streams().stream(entity, round)`.
     #[inline]
@@ -225,16 +220,6 @@ impl<'g> ParallelProcess<'g> {
     /// Wraps `inner` under `engine`.
     pub fn new(inner: Box<dyn SpreadingProcess + Send + 'g>, engine: ParallelFrontier) -> Self {
         ParallelProcess { inner, engine }
-    }
-
-    /// The held engine.
-    pub fn engine(&self) -> &ParallelFrontier {
-        &self.engine
-    }
-
-    /// The wrapped process.
-    pub fn inner(&self) -> &dyn SpreadingProcess {
-        self.inner.as_ref()
     }
 
     /// Readies the process for its next trial: resets the inner process and redraws the

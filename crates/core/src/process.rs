@@ -234,26 +234,6 @@ pub fn run_until_complete(
     None
 }
 
-/// Runs `process` for up to `max_rounds` rounds recording the number of active vertices after
-/// every round (index 0 holds the initial count), stopping early on completion.
-// cobra-lint: draws(bounded)
-pub fn trace_active_counts(
-    process: &mut dyn SpreadingProcess,
-    rng: &mut dyn RngCore,
-    max_rounds: usize,
-) -> Vec<usize> {
-    let mut trace = Vec::with_capacity(max_rounds + 1);
-    trace.push(process.num_active());
-    for _ in 0..max_rounds {
-        if process.is_complete() {
-            break;
-        }
-        process.step(rng);
-        trace.push(process.num_active());
-    }
-    trace
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -336,14 +316,6 @@ mod tests {
         assert_eq!(run_until_complete(&mut p, &mut rng, 3), None);
         assert_eq!(p.round(), 3);
         assert_eq!(p.newly_activated(), &[3]);
-    }
-
-    #[test]
-    fn trace_records_initial_and_per_round_counts() {
-        let mut rng = ChaCha12Rng::seed_from_u64(0);
-        let mut p = Sweep::new(4);
-        let trace = trace_active_counts(&mut p, &mut rng, 100);
-        assert_eq!(trace, vec![1, 2, 3, 4]);
     }
 
     #[test]

@@ -126,14 +126,6 @@ impl Runner {
         self.max_rounds
     }
 
-    /// The same runner with a different round budget — used by segmented drivers (churn)
-    /// that keep the stop condition but cap each segment.
-    #[must_use]
-    pub fn with_max_rounds(mut self, max_rounds: usize) -> Self {
-        self.max_rounds = max_rounds;
-        self
-    }
-
     /// Checks the stop conditions; also used by the segmented churn driver
     /// ([`fault::run_churned_observed`](crate::fault::run_churned_observed)), which owns its
     /// own stepping loop but must stop for exactly the same reasons.
@@ -275,16 +267,6 @@ impl FirstVisitTimes {
         &self.first_visit
     }
 
-    /// Consumes the observer, returning the per-vertex first-visit rounds.
-    pub fn into_first_visit(self) -> Vec<Option<usize>> {
-        self.first_visit
-    }
-
-    /// The hitting time of `vertex`, if it was reached.
-    pub fn hitting_time(&self, vertex: usize) -> Option<usize> {
-        self.first_visit.get(vertex).copied().flatten()
-    }
-
     /// Whether every vertex has been active at least once.
     pub fn covered(&self) -> bool {
         !self.first_visit.is_empty() && self.first_visit.iter().all(Option::is_some)
@@ -345,11 +327,6 @@ impl CoverageTrace {
         &self.trace
     }
 
-    /// Consumes the observer, returning the curve.
-    pub fn into_trace(self) -> Vec<usize> {
-        self.trace
-    }
-
     /// The per-round coverage *increments*: `deltas()[t]` = number of vertices first
     /// covered in round `t` (`deltas()[0]` = `|A_0|`). This is the `O(|delta|)` wire
     /// encoding the serving layer streams — cumulative curves re-sum on the client, so a
@@ -406,11 +383,6 @@ impl GrowthRatios {
     /// The recorded ratios, one per executed round with a non-empty predecessor set.
     pub fn ratios(&self) -> &[f64] {
         &self.ratios
-    }
-
-    /// Consumes the observer, returning the ratios.
-    pub fn into_ratios(self) -> Vec<f64> {
-        self.ratios
     }
 }
 
@@ -581,7 +553,7 @@ mod tests {
         assert_eq!(*coverage.trace().last().unwrap(), 64);
         assert!(coverage.trace().windows(2).all(|w| w[1] >= w[0]));
         // First-visit times: start at round 0, all visited, max = cover time <= rounds.
-        assert_eq!(visits.hitting_time(0), Some(0));
+        assert_eq!(visits.first_visit()[0], Some(0));
         assert!(visits.covered());
         assert!(visits.cover_time().unwrap() <= outcome.rounds);
         // Growth ratios exist for every round (the COBRA active set never dies).

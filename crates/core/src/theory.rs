@@ -4,7 +4,6 @@
 //! reader can check the *shape* of each claim: who wins, by what factor, and where the
 //! hypotheses stop applying.
 
-use cobra_graph::Graph;
 use cobra_spectral::SpectralProfile;
 
 /// All round budgets relevant to one graph instance.
@@ -33,7 +32,7 @@ pub struct TheoryBounds {
 
 impl TheoryBounds {
     /// Evaluates all budgets for an instance given its size and `λ`.
-    pub fn from_lambda(n: usize, lambda: f64) -> Self {
+    fn from_lambda(n: usize, lambda: f64) -> Self {
         let log_n = if n <= 1 { 0.0 } else { (n as f64).ln() };
         let gap = 1.0 - lambda;
         let (cobra_cover, phase, small_set_phase) = if gap > 0.0 {
@@ -57,20 +56,6 @@ impl TheoryBounds {
     /// Evaluates all budgets from a spectral profile.
     pub fn from_profile(profile: &SpectralProfile) -> Self {
         TheoryBounds::from_lambda(profile.n, profile.lambda_abs)
-    }
-
-    /// Convenience: analyse the graph spectrally and evaluate the budgets.
-    ///
-    /// # Errors
-    ///
-    /// Propagates spectral analysis failures.
-    pub fn for_graph(graph: &Graph) -> Result<Self, cobra_spectral::SpectralError> {
-        Ok(TheoryBounds::from_profile(&cobra_spectral::analyze(graph)?))
-    }
-
-    /// Whether the instance satisfies the paper's hypothesis `1-λ ≥ c·sqrt(log n / n)`.
-    pub fn satisfies_hypothesis(&self, c: f64) -> bool {
-        cobra_spectral::mixing::satisfies_gap_hypothesis(self.n, self.lambda, c)
     }
 }
 
@@ -98,7 +83,6 @@ mod tests {
         assert!((b.doubling_lower - 12.0).abs() < 1e-9);
         assert!((b.dutta_expander - log_n * log_n).abs() < 1e-9);
         assert!(b.single_walk > b.dutta_expander);
-        assert!(b.satisfies_hypothesis(1.0));
     }
 
     #[test]
@@ -117,20 +101,18 @@ mod tests {
         let b = TheoryBounds::from_lambda(100, 1.0);
         assert_eq!(b.cobra_cover, f64::INFINITY);
         assert_eq!(b.phase, f64::INFINITY);
-        assert!(!b.satisfies_hypothesis(1.0));
         let b = TheoryBounds::from_lambda(1, 0.2);
         assert_eq!(b.cobra_cover, 0.0);
         assert_eq!(b.doubling_lower, 0.0);
     }
 
     #[test]
-    fn bounds_from_graph_and_profile_agree() {
+    fn bounds_from_a_profile_carry_its_size_and_lambda() {
         let g = generators::petersen().unwrap();
         let profile = cobra_spectral::analyze(&g).unwrap();
-        let from_graph = TheoryBounds::for_graph(&g).unwrap();
-        let from_profile = TheoryBounds::from_profile(&profile);
-        assert_eq!(from_graph, from_profile);
-        assert!((from_graph.lambda - 2.0 / 3.0).abs() < 1e-9);
+        let bounds = TheoryBounds::from_profile(&profile);
+        assert_eq!(bounds, TheoryBounds::from_lambda(profile.n, profile.lambda_abs));
+        assert!((bounds.lambda - 2.0 / 3.0).abs() < 1e-9);
     }
 
     #[test]

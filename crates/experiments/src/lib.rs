@@ -24,8 +24,8 @@
 //! | E12 | Heterogeneous networks — power-law (Chung–Lu) topology, per-edge Gilbert–Elliott channels, degree-proportional budgets | [`exp_hetero`] |
 //!
 //! Every experiment is deterministic given a master seed and comes in a `quick` preset (used
-//! by unit tests and CI's smoke runs) and a `full` preset (used by the `repro`
-//! binary to regenerate the EXPERIMENTS.md numbers).
+//! by unit tests and CI's smoke runs) and a `full` preset (`repro --exp <id>`, whose
+//! tables and findings are the numbers PAPER.md quotes).
 //!
 //! Measurements are **spec-driven**: experiments describe the processes they compare as
 //! [`cobra_core::spec::ProcessSpec`] values (see the protocol table of [`exp_baselines`]) and

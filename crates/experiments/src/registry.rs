@@ -115,7 +115,7 @@ impl ExperimentId {
 pub enum Preset {
     /// Small instances, few trials — seconds per experiment.
     Quick,
-    /// The full sweeps used to populate `EXPERIMENTS.md` — minutes per experiment.
+    /// The full sweeps behind the numbers PAPER.md quotes — minutes per experiment.
     Full,
 }
 

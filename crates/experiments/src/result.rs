@@ -4,7 +4,7 @@ use cobra_stats::table::Table;
 use serde::{Deserialize, Serialize};
 
 /// A single named, machine-readable measurement extracted from an experiment
-/// (e.g. `"slope_log_n" = 1.43`), recorded in EXPERIMENTS.md alongside the paper's claim.
+/// (e.g. `"slope_log_n" = 1.43`), printed by `repro --exp <id>` under the paper's claim.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Finding {
     /// Short machine-friendly name (`snake_case`).
@@ -33,7 +33,7 @@ pub struct ExperimentResult {
     pub claim: String,
     /// One or more result tables (the "rows/series the paper reports").
     pub tables: Vec<Table>,
-    /// Headline measurements referenced by EXPERIMENTS.md.
+    /// Headline measurements, printed after the tables.
     pub findings: Vec<Finding>,
 }
 

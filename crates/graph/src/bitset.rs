@@ -218,17 +218,6 @@ impl VertexBitset {
         dense
     }
 
-    /// Builds the set holding exactly the `true` positions of a dense indicator.
-    pub fn from_indicator(dense: &[bool]) -> Self {
-        let mut set = VertexBitset::new(dense.len());
-        for (v, &on) in dense.iter().enumerate() {
-            if on {
-                set.insert(v);
-            }
-        }
-        set
-    }
-
     /// Asserts the occupancy invariant: flag `i` is 1 if and only if word `i` is non-zero,
     /// and every padding flag past the last word is 0.
     #[cfg(test)]
@@ -370,7 +359,10 @@ mod tests {
     #[test]
     fn indicator_conversions_roundtrip() {
         let dense = vec![true, false, false, true, true, false, true];
-        let set = VertexBitset::from_indicator(&dense);
+        let mut set = VertexBitset::new(dense.len());
+        for v in [0, 3, 4, 6] {
+            set.insert(v);
+        }
         assert_eq!(set.to_indicator(), dense);
         assert_eq!(set.count(), 4);
         assert_eq!(set.iter().collect::<Vec<_>>(), vec![0, 3, 4, 6]);

@@ -49,14 +49,6 @@ impl GraphBuilder {
         self.edges.len()
     }
 
-    /// Grows the vertex set to `n` vertices if it currently has fewer.
-    pub fn ensure_vertices(&mut self, n: usize) -> &mut Self {
-        if n > self.num_vertices {
-            self.num_vertices = n;
-        }
-        self
-    }
-
     /// Adds the undirected edge `{u, v}`. Duplicate insertions are ignored.
     ///
     /// # Errors
@@ -83,31 +75,6 @@ impl GraphBuilder {
         Ok(self)
     }
 
-    /// Adds every edge from an iterator, stopping at the first error.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first error from [`add_edge`](GraphBuilder::add_edge).
-    pub fn add_edges<I>(&mut self, edges: I) -> Result<&mut Self>
-    where
-        I: IntoIterator<Item = (VertexId, VertexId)>,
-    {
-        for (u, v) in edges {
-            self.add_edge(u, v)?;
-        }
-        Ok(self)
-    }
-
-    /// Returns `true` if the edge `{u, v}` has been added.
-    pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
-        self.edges.contains(&(u.min(v), u.max(v)))
-    }
-
-    /// Removes the edge `{u, v}` if present, returning whether it was present.
-    pub fn remove_edge(&mut self, u: VertexId, v: VertexId) -> bool {
-        self.edges.remove(&(u.min(v), u.max(v)))
-    }
-
     /// Finalises the builder into an immutable [`Graph`].
     ///
     /// # Errors
@@ -124,7 +91,7 @@ impl GraphBuilder {
 impl Extend<(VertexId, VertexId)> for GraphBuilder {
     /// Extends the edge set, panicking on invalid edges.
     ///
-    /// Prefer [`GraphBuilder::add_edges`] when the input is untrusted.
+    /// Prefer [`GraphBuilder::add_edge`] when the input is untrusted.
     fn extend<T: IntoIterator<Item = (VertexId, VertexId)>>(&mut self, iter: T) {
         for (u, v) in iter {
             self.add_edge(u, v).expect("invalid edge passed to GraphBuilder::extend");
@@ -152,35 +119,6 @@ mod tests {
         let mut b = GraphBuilder::new(2);
         assert!(matches!(b.add_edge(0, 0), Err(GraphError::SelfLoop { .. })));
         assert!(matches!(b.add_edge(0, 5), Err(GraphError::VertexOutOfRange { .. })));
-    }
-
-    #[test]
-    fn ensure_vertices_grows_but_never_shrinks() {
-        let mut b = GraphBuilder::new(2);
-        b.ensure_vertices(5);
-        assert_eq!(b.num_vertices(), 5);
-        b.ensure_vertices(3);
-        assert_eq!(b.num_vertices(), 5);
-        b.add_edge(4, 0).unwrap();
-        assert_eq!(b.build().unwrap().num_vertices(), 5);
-    }
-
-    #[test]
-    fn add_edges_bulk_and_has_edge() {
-        let mut b = GraphBuilder::new(4);
-        b.add_edges([(0, 1), (1, 2), (2, 3)]).unwrap();
-        assert!(b.has_edge(1, 0));
-        assert!(!b.has_edge(0, 3));
-        assert_eq!(b.num_edges(), 3);
-    }
-
-    #[test]
-    fn remove_edge_round_trip() {
-        let mut b = GraphBuilder::new(3);
-        b.add_edge(0, 1).unwrap();
-        assert!(b.remove_edge(1, 0));
-        assert!(!b.remove_edge(1, 0));
-        assert_eq!(b.num_edges(), 0);
     }
 
     #[test]

@@ -179,41 +179,6 @@ impl Graph {
         Ok(Graph { offsets, neighbors, first_isolated })
     }
 
-    /// Builds a graph directly from per-vertex adjacency lists.
-    ///
-    /// This is mostly useful for generators that naturally produce adjacency lists; the lists
-    /// must be symmetric (if `v ∈ adj[u]` then `u ∈ adj[v]`), loop-free and duplicate-free.
-    ///
-    /// # Errors
-    ///
-    /// Returns the same errors as [`Graph::from_edges`], plus
-    /// [`GraphError::InvalidParameters`] if the lists are not symmetric.
-    pub fn from_adjacency(adj: &[Vec<VertexId>]) -> Result<Self> {
-        let n = adj.len();
-        let mut edges = Vec::new();
-        for (u, list) in adj.iter().enumerate() {
-            for &v in list {
-                if v >= n {
-                    return Err(GraphError::VertexOutOfRange { vertex: v, num_vertices: n });
-                }
-                if u == v {
-                    return Err(GraphError::SelfLoop { vertex: u });
-                }
-                if u < v {
-                    edges.push((u, v));
-                }
-            }
-        }
-        let graph = Graph::from_edges(n, &edges)?;
-        // Verify symmetry: every directed arc must have had a mirror.
-        if graph.neighbors.len() != adj.iter().map(Vec::len).sum::<usize>() {
-            return Err(GraphError::InvalidParameters {
-                reason: "adjacency lists are not symmetric".to_string(),
-            });
-        }
-        Ok(graph)
-    }
-
     /// Rebuilds a graph from raw CSR arrays, validating every structural invariant.
     ///
     /// This is the decode path of the binary CSR cache (see
@@ -406,15 +371,6 @@ impl Graph {
         self.vertices().map(|v| self.degree(v)).max()
     }
 
-    /// Average degree `2m / n`, or `None` for the empty graph.
-    pub fn average_degree(&self) -> Option<f64> {
-        if self.is_empty() {
-            None
-        } else {
-            Some(self.neighbors.len() as f64 / self.num_vertices() as f64)
-        }
-    }
-
     /// Collects the edge list `(u, v)` with `u < v`.
     pub fn to_edge_list(&self) -> Vec<(VertexId, VertexId)> {
         self.edges().collect()
@@ -498,7 +454,6 @@ mod tests {
         assert_eq!(g.regular_degree(), Some(2));
         assert_eq!(g.min_degree(), Some(2));
         assert_eq!(g.max_degree(), Some(2));
-        assert_eq!(g.average_degree(), Some(2.0));
         for v in g.vertices() {
             assert_eq!(g.degree(v), 2);
         }
@@ -567,21 +522,6 @@ mod tests {
     }
 
     #[test]
-    fn from_adjacency_round_trips() {
-        let g = triangle();
-        let adj: Vec<Vec<usize>> = g.vertices().map(|v| g.neighbor_iter(v).collect()).collect();
-        let g2 = Graph::from_adjacency(&adj).unwrap();
-        assert_eq!(g, g2);
-    }
-
-    #[test]
-    fn from_adjacency_rejects_asymmetric_lists() {
-        let adj = vec![vec![1], vec![]];
-        let err = Graph::from_adjacency(&adj).unwrap_err();
-        assert!(matches!(err, GraphError::InvalidParameters { .. }));
-    }
-
-    #[test]
     fn default_graph_is_empty() {
         let g = Graph::default();
         assert!(g.is_empty());
@@ -589,7 +529,6 @@ mod tests {
         assert_eq!(g.num_edges(), 0);
         assert_eq!(g.regular_degree(), None);
         assert_eq!(g.min_degree(), None);
-        assert_eq!(g.average_degree(), None);
     }
 
     #[test]
@@ -719,8 +658,6 @@ mod tests {
         // Vertices 3 and 5 are isolated; 3 is the lowest.
         let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 4)]).unwrap();
         assert_eq!(g.first_isolated(), Some(3));
-        let adj: Vec<Vec<usize>> = g.vertices().map(|v| g.neighbor_iter(v).collect()).collect();
-        assert_eq!(Graph::from_adjacency(&adj).unwrap().first_isolated(), Some(3));
         let (offsets, neighbors) = g.raw_parts();
         let raw = Graph::from_raw_parts(offsets.to_vec(), neighbors.to_vec()).unwrap();
         assert_eq!(raw.first_isolated(), Some(3));

@@ -1,4 +1,4 @@
-//! Plain-text serialisation of graphs: whitespace-separated edge lists and Graphviz DOT.
+//! Plain-text serialisation of graphs as whitespace-separated edge lists.
 //!
 //! The experiment harness writes generated instances to disk so runs can be replayed exactly;
 //! the formats here are deliberately minimal and dependency-free. Real-world topologies load
@@ -112,7 +112,7 @@ fn parse_token(token: Option<&str>, line: usize, what: &str) -> Result<usize> {
 /// # Errors
 ///
 /// Returns [`GraphError::Parse`] for lines that are not two whitespace-separated integers.
-pub fn parse_edge_list_lenient(text: &str) -> Result<Graph> {
+fn parse_edge_list_lenient(text: &str) -> Result<Graph> {
     let mut raw: Vec<(usize, usize)> = Vec::new();
     for (line_no, line) in text.lines().enumerate().map(|(i, l)| (i + 1, l.trim())) {
         if line.is_empty() || line.starts_with('#') {
@@ -144,8 +144,8 @@ pub fn parse_edge_list_lenient(text: &str) -> Result<Graph> {
 
 /// Loads an edge-list file from disk, keeping a versioned binary CSR cache beside it.
 ///
-/// The first load parses the text (strict [`parse_edge_list`] format, or
-/// [`parse_edge_list_lenient`] when `lenient` is set) and writes `<path>.csrcache`; later
+/// The first load parses the text (strict [`parse_edge_list`] format, or the headerless
+/// SNAP-style format when `lenient` is set) and writes `<path>.csrcache`; later
 /// loads decode the cache directly — validated through [`Graph::from_raw_parts`], and keyed
 /// on the source file's length and fingerprint so an edited source transparently rebuilds.
 /// Cache *write* failures (read-only directories) are deliberately swallowed: the cache is
@@ -245,21 +245,6 @@ fn write_csr_cache(
         out.extend_from_slice(&entry.to_le_bytes());
     }
     std::fs::write(path, out)
-}
-
-/// Renders the graph in Graphviz DOT syntax (undirected, `graph g { … }`).
-///
-/// Intended for eyeballing small instances; vertices are unlabeled beyond their index.
-pub fn to_dot(g: &Graph) -> String {
-    let mut out = String::from("graph g {\n");
-    for v in g.vertices() {
-        let _ = writeln!(out, "  {v};");
-    }
-    for (u, v) in g.edges() {
-        let _ = writeln!(out, "  {u} -- {v};");
-    }
-    out.push_str("}\n");
-    out
 }
 
 #[cfg(test)]
@@ -451,15 +436,5 @@ mod tests {
         assert!(load_edge_list_file(&path_str, false).is_err());
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&cache);
-    }
-
-    #[test]
-    fn dot_output_contains_all_edges() {
-        let g = generators::cycle(4).unwrap();
-        let dot = to_dot(&g);
-        assert!(dot.starts_with("graph g {"));
-        assert!(dot.contains("0 -- 1;"));
-        assert!(dot.contains("2 -- 3;"));
-        assert!(dot.trim_end().ends_with('}'));
     }
 }

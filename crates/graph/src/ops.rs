@@ -127,7 +127,7 @@ pub fn is_bipartite(g: &Graph) -> bool {
 /// # Panics
 ///
 /// Panics if `source` is not a vertex of `g`.
-pub fn eccentricity(g: &Graph, source: VertexId) -> Option<usize> {
+fn eccentricity(g: &Graph, source: VertexId) -> Option<usize> {
     let dist = bfs_distances(g, source);
     let mut ecc = 0usize;
     for d in dist {
@@ -152,26 +152,6 @@ pub fn diameter(g: &Graph) -> Option<usize> {
         diam = diam.max(eccentricity(g, v)?);
     }
     Some(diam)
-}
-
-/// Average shortest-path distance over ordered pairs of distinct vertices.
-///
-/// Returns `None` for disconnected graphs or graphs with fewer than two vertices.
-pub fn average_distance(g: &Graph) -> Option<f64> {
-    let n = g.num_vertices();
-    if n < 2 {
-        return None;
-    }
-    let mut total = 0u128;
-    for v in g.vertices() {
-        for d in bfs_distances(g, v) {
-            if d == usize::MAX {
-                return None;
-            }
-            total += d as u128;
-        }
-    }
-    Some(total as f64 / (n as f64 * (n as f64 - 1.0)))
 }
 
 /// Summary statistics of the degree sequence.
@@ -201,102 +181,6 @@ pub fn degree_stats(g: &Graph) -> Option<DegreeStats> {
     let mean = degrees.iter().sum::<usize>() as f64 / n as f64;
     let variance = degrees.iter().map(|&d| (d as f64 - mean).powi(2)).sum::<f64>() / n as f64;
     Some(DegreeStats { min, max, mean, variance, is_regular: min == max })
-}
-
-/// Builds the induced subgraph on `keep` (vertices are relabelled `0..keep.len()` in the order
-/// given) and returns it together with the mapping `new_id -> old_id`.
-///
-/// # Panics
-///
-/// Panics if `keep` contains an out-of-range or repeated vertex.
-pub fn induced_subgraph(g: &Graph, keep: &[VertexId]) -> (Graph, Vec<VertexId>) {
-    let n = g.num_vertices();
-    let mut new_id = vec![usize::MAX; n];
-    for (i, &v) in keep.iter().enumerate() {
-        assert!(v < n, "vertex {v} out of range");
-        assert!(new_id[v] == usize::MAX, "vertex {v} repeated in keep list");
-        new_id[v] = i;
-    }
-    let mut edges = Vec::new();
-    for &v in keep {
-        for w in g.neighbor_iter(v) {
-            if v < w && new_id[w] != usize::MAX {
-                edges.push((new_id[v], new_id[w]));
-            }
-        }
-    }
-    let sub = Graph::from_edges(keep.len(), &edges)
-        .expect("induced subgraph of a simple graph is simple");
-    (sub, keep.to_vec())
-}
-
-/// The complement graph: same vertex set, `{u,v}` is an edge iff it is not an edge of `g`.
-pub fn complement(g: &Graph) -> Graph {
-    let n = g.num_vertices();
-    let mut edges = Vec::new();
-    for u in 0..n {
-        for v in (u + 1)..n {
-            if !g.has_edge(u, v) {
-                edges.push((u, v));
-            }
-        }
-    }
-    Graph::from_edges(n, &edges).expect("complement of a simple graph is simple")
-}
-
-/// Computes the `k`-core decomposition: `core[v]` is the largest `k` such that `v` belongs to a
-/// subgraph of minimum degree `k`.
-pub fn core_numbers(g: &Graph) -> Vec<usize> {
-    let n = g.num_vertices();
-    let mut degree: Vec<usize> = g.vertices().map(|v| g.degree(v)).collect();
-    let max_deg = degree.iter().copied().max().unwrap_or(0);
-    // Bucket sort vertices by degree (standard O(n + m) peeling).
-    let mut bins = vec![0usize; max_deg + 2];
-    for &d in &degree {
-        bins[d] += 1;
-    }
-    let mut start = 0usize;
-    for bin in bins.iter_mut().take(max_deg + 1) {
-        let count = *bin;
-        *bin = start;
-        start += count;
-    }
-    let mut pos = vec![0usize; n];
-    let mut order = vec![0usize; n];
-    for v in 0..n {
-        pos[v] = bins[degree[v]];
-        order[pos[v]] = v;
-        bins[degree[v]] += 1;
-    }
-    for d in (1..=max_deg).rev() {
-        bins[d] = bins[d - 1];
-    }
-    if max_deg + 1 < bins.len() {
-        bins[0] = 0;
-    }
-    let mut core = degree.clone();
-    for i in 0..n {
-        let v = order[i];
-        core[v] = degree[v];
-        for u in g.neighbor_iter(v) {
-            if degree[u] > degree[v] {
-                // Move u one bucket down.
-                let du = degree[u];
-                let pu = pos[u];
-                let pw = bins[du];
-                let w = order[pw];
-                if u != w {
-                    order[pu] = w;
-                    order[pw] = u;
-                    pos[u] = pw;
-                    pos[w] = pu;
-                }
-                bins[du] += 1;
-                degree[u] -= 1;
-            }
-        }
-    }
-    core
 }
 
 #[cfg(test)]
@@ -363,14 +247,6 @@ mod tests {
     }
 
     #[test]
-    fn average_distance_of_complete_graph_is_one() {
-        let g = generators::complete(6).unwrap();
-        let avg = average_distance(&g).unwrap();
-        assert!((avg - 1.0).abs() < 1e-12);
-        assert_eq!(average_distance(&Graph::default()), None);
-    }
-
-    #[test]
     fn degree_stats_on_star() {
         let g = generators::star(5).unwrap(); // centre degree 4, leaves degree 1
         let stats = degree_stats(&g).unwrap();
@@ -380,41 +256,5 @@ mod tests {
         assert!((stats.mean - 8.0 / 5.0).abs() < 1e-12);
         assert!(stats.variance > 0.0);
         assert_eq!(degree_stats(&Graph::default()), None);
-    }
-
-    #[test]
-    fn induced_subgraph_of_complete_graph() {
-        let g = generators::complete(6).unwrap();
-        let (sub, map) = induced_subgraph(&g, &[1, 3, 5]);
-        assert_eq!(sub.num_vertices(), 3);
-        assert_eq!(sub.num_edges(), 3);
-        assert_eq!(map, vec![1, 3, 5]);
-    }
-
-    #[test]
-    fn complement_round_trip() {
-        let g = generators::cycle(5).unwrap();
-        let c = complement(&g);
-        assert_eq!(c.num_edges(), 5 * 4 / 2 - 5);
-        let cc = complement(&c);
-        assert_eq!(cc, g);
-    }
-
-    #[test]
-    fn core_numbers_on_clique_plus_pendant() {
-        // K4 on {0,1,2,3} plus a pendant vertex 4 attached to 0.
-        let g = Graph::from_edges(5, &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4)])
-            .unwrap();
-        let core = core_numbers(&g);
-        assert_eq!(core[4], 1);
-        for (v, &number) in core.iter().enumerate().take(4) {
-            assert_eq!(number, 3, "vertex {v} should be in the 3-core");
-        }
-    }
-
-    #[test]
-    fn core_numbers_on_cycle_are_two() {
-        let g = generators::cycle(7).unwrap();
-        assert!(core_numbers(&g).into_iter().all(|c| c == 2));
     }
 }

@@ -63,12 +63,6 @@ proptest! {
         }
     }
 
-    /// The complement of the complement is the original graph.
-    #[test]
-    fn complement_involution(g in arbitrary_graph()) {
-        prop_assert_eq!(ops::complement(&ops::complement(&g)), g);
-    }
-
     /// Random regular graphs are exactly regular, simple and of the right size.
     #[test]
     fn random_regular_invariants(n in 4usize..80, r in 2usize..6, seed in 0u64..1000) {

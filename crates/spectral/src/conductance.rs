@@ -64,7 +64,7 @@ pub struct SweepCut {
 ///
 /// Returns [`SpectralError::InvalidGraph`] if the graph has fewer than two vertices or no
 /// edges.
-pub fn sweep_cut(g: &Graph, scores: &[f64]) -> Result<SweepCut> {
+fn sweep_cut(g: &Graph, scores: &[f64]) -> Result<SweepCut> {
     let n = g.num_vertices();
     if n < 2 || g.num_edges() == 0 {
         return Err(SpectralError::InvalidGraph {
@@ -110,7 +110,8 @@ pub fn sweep_cut(g: &Graph, scores: &[f64]) -> Result<SweepCut> {
 ///
 /// # Errors
 ///
-/// Propagates solver errors from [`second_eigenvector`] and [`sweep_cut`].
+/// Propagates solver errors from [`second_eigenvector`], and returns
+/// [`SpectralError::InvalidGraph`] if the graph has fewer than two vertices or no edges.
 pub fn spectral_sweep_conductance<R: Rng>(g: &Graph, rng: &mut R) -> Result<SweepCut> {
     let op = NormalizedAdjacency::new(g);
     let vector = second_eigenvector(&op, IterationOptions::default(), rng)?;

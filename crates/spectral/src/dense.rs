@@ -10,20 +10,15 @@ use crate::{Result, SpectralError};
 
 /// A dense symmetric `n × n` matrix stored in row-major order.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SymmetricMatrix {
+pub(crate) struct SymmetricMatrix {
     n: usize,
     data: Vec<f64>,
 }
 
 impl SymmetricMatrix {
     /// Creates the zero matrix of dimension `n`.
-    pub fn zeros(n: usize) -> Self {
+    fn zeros(n: usize) -> Self {
         SymmetricMatrix { n, data: vec![0.0; n * n] }
-    }
-
-    /// Dimension of the matrix.
-    pub fn dim(&self) -> usize {
-        self.n
     }
 
     /// Reads entry `(i, j)`.
@@ -32,7 +27,7 @@ impl SymmetricMatrix {
     ///
     /// Panics if `i` or `j` is out of range.
     #[inline]
-    pub fn get(&self, i: usize, j: usize) -> f64 {
+    pub(crate) fn get(&self, i: usize, j: usize) -> f64 {
         self.data[i * self.n + j]
     }
 
@@ -42,7 +37,7 @@ impl SymmetricMatrix {
     ///
     /// Panics if `i` or `j` is out of range.
     #[inline]
-    pub fn set(&mut self, i: usize, j: usize, value: f64) {
+    fn set(&mut self, i: usize, j: usize, value: f64) {
         self.data[i * self.n + j] = value;
         self.data[j * self.n + i] = value;
     }
@@ -53,7 +48,7 @@ impl SymmetricMatrix {
     /// it is similar to `P`, so the two share their spectrum. Vertices of degree zero
     /// contribute an all-zero row/column (eigenvalue 0), which keeps the matrix well-defined
     /// for degenerate test graphs.
-    pub fn normalized_adjacency(g: &Graph) -> Self {
+    pub(crate) fn normalized_adjacency(g: &Graph) -> Self {
         let n = g.num_vertices();
         let mut m = SymmetricMatrix::zeros(n);
         let inv_sqrt_deg: Vec<f64> = (0..n)
@@ -94,7 +89,7 @@ impl SymmetricMatrix {
     ///
     /// Returns [`SpectralError::NoConvergence`] if the off-diagonal norm has not dropped below
     /// `1e-12 · n` after 100 sweeps (does not happen for the sizes this solver is meant for).
-    pub fn jacobi_eigenvalues(&self) -> Result<Vec<f64>> {
+    fn jacobi_eigenvalues(&self) -> Result<Vec<f64>> {
         let n = self.n;
         if n == 0 {
             return Ok(Vec::new());
@@ -177,7 +172,6 @@ mod tests {
         m.set(0, 2, 1.5);
         assert_eq!(m.get(0, 2), 1.5);
         assert_eq!(m.get(2, 0), 1.5);
-        assert_eq!(m.dim(), 3);
     }
 
     #[test]

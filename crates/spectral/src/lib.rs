@@ -12,8 +12,7 @@
 //! * [`power`] and [`lanczos`] — iterative eigensolvers with deflation of the stationary
 //!   direction,
 //! * [`conductance`] — cut conductance, sweep cuts and the Cheeger inequality,
-//! * [`mixing`] — spectral-gap based mixing/cover-time budgets, including the paper's
-//!   `T = log n / (1-λ)³` quantity,
+//! * [`mixing`] — the paper's hypothesis `1-λ ≫ sqrt(log n / n)`, checked per instance,
 //! * [`profile`] — the [`SpectralProfile`] summary used throughout the experiment harness.
 //!
 //! # Example

@@ -1,61 +1,9 @@
-//! Spectral-gap based time budgets: mixing times and the paper's cover-time bound.
+//! The paper's spectral-gap hypothesis.
 //!
 //! Theorem 1 of the paper bounds the COBRA cover time by `O(T)` with
-//! `T = log(n) / (1-λ)³`, under the hypothesis `1-λ ≫ sqrt(log n / n)`. The helpers here
-//! evaluate these quantities so experiments can report "measured / theory" ratios, and they
-//! also provide the standard random-walk mixing-time estimate for context.
-
-use serde::{Deserialize, Serialize};
-
-/// The paper's round budget `T(n, λ) = log(n) / (1 - λ)³` from Theorem 1 / Theorem 2.
-///
-/// Returns `f64::INFINITY` when `λ ≥ 1` (disconnected or bipartite graphs, where the theorem
-/// does not apply) and 0 for `n ≤ 1`.
-pub fn cobra_cover_bound(n: usize, lambda: f64) -> f64 {
-    if n <= 1 {
-        return 0.0;
-    }
-    let gap = 1.0 - lambda;
-    if gap <= 0.0 {
-        return f64::INFINITY;
-    }
-    (n as f64).ln() / gap.powi(3)
-}
-
-/// The simpler `log(n) / (1 - λ)` budget that appears as the per-phase cost in Lemmas 3 and 4.
-pub fn phase_bound(n: usize, lambda: f64) -> f64 {
-    if n <= 1 {
-        return 0.0;
-    }
-    let gap = 1.0 - lambda;
-    if gap <= 0.0 {
-        return f64::INFINITY;
-    }
-    (n as f64).ln() / gap
-}
-
-/// The `Θ(log n)` baseline used when the spectral gap is constant — the bound the paper proves
-/// is achieved by COBRA on expanders and that Dutta et al. proved for the complete graph.
-pub fn log_n_bound(n: usize) -> f64 {
-    if n <= 1 {
-        0.0
-    } else {
-        (n as f64).ln()
-    }
-}
-
-/// Standard upper bound on the total-variation mixing time of the lazy random walk:
-/// `t_mix(ε) ≤ log(n/ε) / (1 - λ)`.
-pub fn mixing_time_bound(n: usize, lambda: f64, epsilon: f64) -> f64 {
-    if n <= 1 {
-        return 0.0;
-    }
-    let gap = 1.0 - lambda;
-    if gap <= 0.0 || epsilon <= 0.0 {
-        return f64::INFINITY;
-    }
-    ((n as f64) / epsilon).ln() / gap
-}
+//! `T = log(n) / (1-λ)³`, under the hypothesis `1-λ ≫ sqrt(log n / n)`. The check here
+//! tells whether an instance satisfies that hypothesis; the budgets themselves are
+//! evaluated by `cobra_core::theory`.
 
 /// Checks the paper's hypothesis `1 - λ ≥ C · sqrt(log n / n)`.
 ///
@@ -69,74 +17,9 @@ pub fn satisfies_gap_hypothesis(n: usize, lambda: f64, c: f64) -> bool {
     gap >= c * ((n as f64).ln() / n as f64).sqrt()
 }
 
-/// The per-vertex, per-round transmission budget of a process, used to compare protocols at
-/// equal communication cost (COBRA sends `k` messages only from active vertices; PUSH sends 1
-/// from every informed vertex; BIPS samples `k` edges at every vertex).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TransmissionBudget {
-    /// Messages (or samples) per participating vertex per round.
-    pub per_vertex: f64,
-    /// Whether every vertex participates each round (BIPS/PUSH-PULL) or only the currently
-    /// active ones (COBRA/PUSH).
-    pub all_vertices: bool,
-}
-
-impl TransmissionBudget {
-    /// Budget of the COBRA process with branching factor `k`.
-    pub fn cobra(k: f64) -> Self {
-        TransmissionBudget { per_vertex: k, all_vertices: false }
-    }
-
-    /// Budget of the BIPS process with `k` samples per vertex.
-    pub fn bips(k: f64) -> Self {
-        TransmissionBudget { per_vertex: k, all_vertices: true }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cover_bound_shapes() {
-        // Constant gap: the bound is Theta(log n).
-        let t1 = cobra_cover_bound(1 << 10, 0.5);
-        let t2 = cobra_cover_bound(1 << 20, 0.5);
-        assert!((t2 / t1 - 2.0).abs() < 1e-9, "doubling log n doubles the bound");
-        // Shrinking gap inflates the bound cubically.
-        let wide = cobra_cover_bound(1024, 0.5);
-        let narrow = cobra_cover_bound(1024, 0.75);
-        assert!((narrow / wide - 8.0).abs() < 1e-9);
-        // Degenerate cases.
-        assert_eq!(cobra_cover_bound(1, 0.5), 0.0);
-        assert_eq!(cobra_cover_bound(100, 1.0), f64::INFINITY);
-    }
-
-    #[test]
-    fn phase_bound_is_smaller_than_cover_bound() {
-        for &lambda in &[0.1, 0.5, 0.9] {
-            assert!(phase_bound(4096, lambda) <= cobra_cover_bound(4096, lambda) + 1e-12);
-        }
-        assert_eq!(phase_bound(1, 0.3), 0.0);
-        assert_eq!(phase_bound(10, 1.2), f64::INFINITY);
-    }
-
-    #[test]
-    fn log_n_bound_values() {
-        assert_eq!(log_n_bound(1), 0.0);
-        assert_eq!(log_n_bound(0), 0.0);
-        assert!((log_n_bound(1024) - 1024f64.ln()).abs() < 1e-12);
-        assert!(log_n_bound(2048) > log_n_bound(1024));
-    }
-
-    #[test]
-    fn mixing_time_bound_behaviour() {
-        let t = mixing_time_bound(1000, 0.5, 0.01);
-        assert!((t - (100_000f64).ln() / 0.5).abs() < 1e-9);
-        assert_eq!(mixing_time_bound(1, 0.5, 0.01), 0.0);
-        assert_eq!(mixing_time_bound(10, 1.0, 0.01), f64::INFINITY);
-        assert_eq!(mixing_time_bound(10, 0.5, 0.0), f64::INFINITY);
-    }
 
     #[test]
     fn gap_hypothesis_check() {
@@ -146,17 +29,5 @@ mod tests {
         let lambda_cycle = (std::f64::consts::PI / 1000.0).cos();
         assert!(!satisfies_gap_hypothesis(1000, lambda_cycle, 1.0));
         assert!(!satisfies_gap_hypothesis(1, 0.0, 1.0));
-    }
-
-    #[test]
-    fn transmission_budgets() {
-        let c = TransmissionBudget::cobra(2.0);
-        assert_eq!(c.per_vertex, 2.0);
-        assert!(!c.all_vertices);
-        let b = TransmissionBudget::bips(2.0);
-        assert!(b.all_vertices);
-        let json = serde_json::to_string(&b).unwrap();
-        let back: TransmissionBudget = serde_json::from_str(&json).unwrap();
-        assert_eq!(b, back);
     }
 }

@@ -38,11 +38,6 @@ impl<'a> NormalizedAdjacency<'a> {
         self.graph.num_vertices()
     }
 
-    /// The underlying graph.
-    pub fn graph(&self) -> &Graph {
-        self.graph
-    }
-
     /// Applies the operator: `out = N x`.
     ///
     /// # Panics
@@ -91,7 +86,7 @@ impl<'a> NormalizedAdjacency<'a> {
 }
 
 /// Euclidean norm of a vector.
-pub fn norm2(x: &[f64]) -> f64 {
+fn norm2(x: &[f64]) -> f64 {
     x.iter().map(|v| v * v).sum::<f64>().sqrt()
 }
 

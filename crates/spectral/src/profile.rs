@@ -47,11 +47,6 @@ impl SpectralProfile {
         1.0 - self.lambda_abs
     }
 
-    /// The paper's round budget `T = log(n) / (1-λ)³` for this instance.
-    pub fn cover_time_bound(&self) -> f64 {
-        mixing::cobra_cover_bound(self.n, self.lambda_abs)
-    }
-
     /// Whether the instance satisfies the hypothesis `1 - λ ≥ c·sqrt(log n / n)` of
     /// Theorems 1 and 2.
     pub fn satisfies_gap_hypothesis(&self, c: f64) -> bool {
@@ -133,7 +128,6 @@ mod tests {
         assert!((p.lambda_abs - 1.0 / 63.0).abs() < 1e-9);
         assert!(p.spectral_gap() > 0.98);
         assert!(p.satisfies_gap_hypothesis(1.0));
-        assert!(p.cover_time_bound() < 5.0 * 64f64.ln());
     }
 
     #[test]
@@ -151,7 +145,6 @@ mod tests {
         let p = analyze(&g).unwrap();
         assert!(p.bipartite);
         assert!((p.lambda_abs - 1.0).abs() < 1e-9);
-        assert_eq!(p.cover_time_bound(), f64::INFINITY);
         assert!(!p.satisfies_gap_hypothesis(1.0));
     }
 

@@ -8,11 +8,9 @@
 //! * [`rng`] — a master-seed → per-trial seed scheme so that parallel runs are bit-for-bit
 //!   reproducible,
 //! * [`summary`] — streaming (Welford) mean/variance plus quantiles,
-//! * [`ci`] — normal, Student-t and Wilson confidence intervals,
 //! * [`regression`] — least-squares fits of measured times against `log n` and power laws,
-//! * [`histogram`] — fixed-width histograms of round counts,
 //! * [`parallel`] — a trial runner on the shared worker pool with deterministic seeding,
-//! * [`table`] — aligned text tables and CSV emission shared by the experiment binaries.
+//! * [`table`] — aligned text tables shared by the experiment binaries.
 //!
 //! # Example
 //!
@@ -25,15 +23,13 @@
 //! }
 //! assert_eq!(s.count(), 8);
 //! assert!((s.mean() - 5.0).abs() < 1e-12);
-//! assert!((s.population_variance() - 4.0).abs() < 1e-12);
+//! assert_eq!(s.max(), Some(9.0));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod ci;
-pub mod histogram;
 pub mod parallel;
 pub mod regression;
 pub mod rng;

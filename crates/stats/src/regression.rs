@@ -20,18 +20,11 @@ pub struct LinearFit {
     pub points: usize,
 }
 
-impl LinearFit {
-    /// Predicted value at `x`.
-    pub fn predict(&self, x: f64) -> f64 {
-        self.intercept + self.slope * x
-    }
-}
-
 /// Ordinary least squares for `y = a + b·x`.
 ///
 /// Returns `None` if fewer than two points are supplied, the lengths differ, or all `x` are
 /// identical (degenerate design matrix).
-pub fn linear_fit(x: &[f64], y: &[f64]) -> Option<LinearFit> {
+fn linear_fit(x: &[f64], y: &[f64]) -> Option<LinearFit> {
     if x.len() != y.len() || x.len() < 2 {
         return None;
     }
@@ -59,7 +52,8 @@ pub fn linear_fit(x: &[f64], y: &[f64]) -> Option<LinearFit> {
 
 /// Fits `y = a + b·ln(x)` — the model behind every "is it `O(log n)`?" check.
 ///
-/// Returns `None` under the same conditions as [`linear_fit`] or if any `x ≤ 0`.
+/// Returns `None` if fewer than two points are supplied, the lengths differ, all `x` are
+/// identical, or any `x ≤ 0`.
 pub fn log_fit(x: &[f64], y: &[f64]) -> Option<LinearFit> {
     if x.iter().any(|&v| v <= 0.0) {
         return None;
@@ -79,13 +73,6 @@ pub struct PowerLawFit {
     pub r_squared: f64,
     /// Number of points fitted.
     pub points: usize,
-}
-
-impl PowerLawFit {
-    /// Predicted value at `x`.
-    pub fn predict(&self, x: f64) -> f64 {
-        self.coefficient * x.powf(self.exponent)
-    }
 }
 
 /// Fits `y = a·x^b` by least squares in log–log space.
@@ -132,7 +119,6 @@ mod tests {
         assert_close(fit.intercept, 3.0, 1e-10);
         assert_close(fit.slope, 2.0, 1e-10);
         assert_close(fit.r_squared, 1.0, 1e-12);
-        assert_close(fit.predict(20.0), 43.0, 1e-9);
         assert_eq!(fit.points, 10);
     }
 
@@ -176,7 +162,6 @@ mod tests {
         let fit = power_law_fit(&x, &y).unwrap();
         assert_close(fit.exponent, 0.5, 1e-9);
         assert_close(fit.coefficient, 3.0, 1e-6);
-        assert_close(fit.predict(10_000.0), 300.0, 1e-6);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! runs each derive their own independent ChaCha stream from `(master seed, label, index)`, so
 //! results are reproducible bit-for-bit regardless of how the work is scheduled across threads.
 
-use rand::{RngCore, SeedableRng};
+use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
 /// The RNG handed to simulations and generators.
@@ -20,11 +20,6 @@ impl SeedSequence {
     /// Creates a seed sequence from a master seed.
     pub fn new(master: u64) -> Self {
         SeedSequence { master }
-    }
-
-    /// The master seed.
-    pub fn master(&self) -> u64 {
-        self.master
     }
 
     /// Derives the RNG for the trial with index `index` in the stream named `label`.
@@ -65,48 +60,44 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Convenience constructor for a standalone RNG from a bare seed (used in tests and examples).
-pub fn rng_from_seed(seed: u64) -> TrialRng {
-    ChaCha12Rng::seed_from_u64(seed)
-}
-
-/// Draws `count` values from an RNG, mostly useful for smoke tests of stream independence.
-pub fn sample_stream(rng: &mut impl RngCore, count: usize) -> Vec<u64> {
-    (0..count).map(|_| rng.next_u64()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::RngCore;
+
+    /// The first 16 words of a stream.
+    fn first_words(mut rng: TrialRng) -> Vec<u64> {
+        (0..16).map(|_| rng.next_u64()).collect()
+    }
 
     #[test]
     fn same_inputs_give_identical_streams() {
         let seq = SeedSequence::new(42);
-        let a = sample_stream(&mut seq.trial_rng("cover", 7), 16);
-        let b = sample_stream(&mut seq.trial_rng("cover", 7), 16);
+        let a = first_words(seq.trial_rng("cover", 7));
+        let b = first_words(seq.trial_rng("cover", 7));
         assert_eq!(a, b);
     }
 
     #[test]
     fn different_indices_give_different_streams() {
         let seq = SeedSequence::new(42);
-        let a = sample_stream(&mut seq.trial_rng("cover", 0), 16);
-        let b = sample_stream(&mut seq.trial_rng("cover", 1), 16);
+        let a = first_words(seq.trial_rng("cover", 0));
+        let b = first_words(seq.trial_rng("cover", 1));
         assert_ne!(a, b);
     }
 
     #[test]
     fn different_labels_give_different_streams() {
         let seq = SeedSequence::new(42);
-        let a = sample_stream(&mut seq.trial_rng("cover", 0), 16);
-        let b = sample_stream(&mut seq.trial_rng("infect", 0), 16);
+        let a = first_words(seq.trial_rng("cover", 0));
+        let b = first_words(seq.trial_rng("infect", 0));
         assert_ne!(a, b);
     }
 
     #[test]
     fn different_masters_give_different_streams() {
-        let a = sample_stream(&mut SeedSequence::new(1).trial_rng("x", 0), 16);
-        let b = sample_stream(&mut SeedSequence::new(2).trial_rng("x", 0), 16);
+        let a = first_words(SeedSequence::new(1).trial_rng("x", 0));
+        let b = first_words(SeedSequence::new(2).trial_rng("x", 0));
         assert_ne!(a, b);
     }
 
@@ -117,12 +108,12 @@ mod tests {
         let c2 = seq.child("experiment-2");
         assert_eq!(c1, seq.child("experiment-1"));
         assert_ne!(c1, c2);
-        assert_ne!(c1.master(), seq.master());
+        assert_ne!(c1, seq);
     }
 
     #[test]
     fn default_master_seed_is_fixed() {
-        assert_eq!(SeedSequence::default().master(), 0x000C_0B2A_2016);
+        assert_eq!(SeedSequence::default(), SeedSequence::new(0x000C_0B2A_2016));
     }
 
     #[test]
@@ -130,12 +121,5 @@ mod tests {
         assert_ne!(fnv1a(b"cover"), fnv1a(b"cove"));
         assert_ne!(fnv1a(b"a"), fnv1a(b"b"));
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-    }
-
-    #[test]
-    fn rng_from_seed_is_reproducible() {
-        let a = sample_stream(&mut rng_from_seed(9), 4);
-        let b = sample_stream(&mut rng_from_seed(9), 4);
-        assert_eq!(a, b);
     }
 }

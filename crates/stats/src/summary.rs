@@ -30,25 +30,6 @@ impl Summary {
         self.max = self.max.max(x);
     }
 
-    /// Merges another summary into this one (parallel reduction).
-    pub fn merge(&mut self, other: &Summary) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let new_mean = self.mean + delta * other.count as f64 / total as f64;
-        self.m2 += other.m2 + delta * delta * self.count as f64 * other.count as f64 / total as f64;
-        self.mean = new_mean;
-        self.count = total;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Number of observations recorded.
     pub fn count(&self) -> u64 {
         self.count
@@ -63,17 +44,8 @@ impl Summary {
         }
     }
 
-    /// Population variance (dividing by `n`); 0 for fewer than one observation.
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
     /// Unbiased sample variance (dividing by `n - 1`); 0 for fewer than two observations.
-    pub fn sample_variance(&self) -> f64 {
+    fn sample_variance(&self) -> f64 {
         if self.count < 2 {
             0.0
         } else {
@@ -84,15 +56,6 @@ impl Summary {
     /// Sample standard deviation (square root of the unbiased variance).
     pub fn std_dev(&self) -> f64 {
         self.sample_variance().sqrt()
-    }
-
-    /// Standard error of the mean.
-    pub fn std_error(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.std_dev() / (self.count as f64).sqrt()
-        }
     }
 
     /// Smallest observation, or `None` if empty.
@@ -179,12 +142,10 @@ mod tests {
         let s: Summary = data.iter().copied().collect();
         assert_eq!(s.count(), 8);
         assert_close(s.mean(), 5.0, 1e-12);
-        assert_close(s.population_variance(), 4.0, 1e-12);
         assert_close(s.sample_variance(), 32.0 / 7.0, 1e-12);
         assert_close(s.std_dev(), (32.0f64 / 7.0).sqrt(), 1e-12);
         assert_eq!(s.min(), Some(2.0));
         assert_eq!(s.max(), Some(9.0));
-        assert_close(s.std_error(), s.std_dev() / 8f64.sqrt(), 1e-12);
     }
 
     #[test]
@@ -192,9 +153,7 @@ mod tests {
         let s = Summary::new();
         assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.population_variance(), 0.0);
         assert_eq!(s.sample_variance(), 0.0);
-        assert_eq!(s.std_error(), 0.0);
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
     }
@@ -207,31 +166,6 @@ mod tests {
         assert_eq!(s.mean(), 3.5);
         assert_eq!(s.sample_variance(), 0.0);
         assert_eq!(s.min(), Some(3.5));
-    }
-
-    #[test]
-    fn merge_equals_sequential_recording() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64 * 0.7).sin() * 10.0).collect();
-        let sequential: Summary = data.iter().copied().collect();
-        let mut left: Summary = data[..37].iter().copied().collect();
-        let right: Summary = data[37..].iter().copied().collect();
-        left.merge(&right);
-        assert_eq!(left.count(), sequential.count());
-        assert_close(left.mean(), sequential.mean(), 1e-10);
-        assert_close(left.sample_variance(), sequential.sample_variance(), 1e-10);
-        assert_eq!(left.min(), sequential.min());
-        assert_eq!(left.max(), sequential.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut s: Summary = [1.0, 2.0, 3.0].into_iter().collect();
-        let before = s;
-        s.merge(&Summary::new());
-        assert_eq!(s, before);
-        let mut empty = Summary::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Aligned text tables and CSV emission for experiment reports.
+//! Aligned text tables for experiment reports.
 //!
 //! The `repro` binary prints one table per experiment in the same "rows and series"
 //! shape the paper's claims take; this module keeps that formatting in one place so the tables
@@ -85,32 +85,12 @@ impl Table {
         }
         out
     }
-
-    /// Renders the table as CSV (header + rows), with minimal quoting of commas.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let header: Vec<String> = self.columns.iter().map(|(h, _)| csv_escape(h)).collect();
-        let _ = writeln!(out, "{}", header.join(","));
-        for row in &self.rows {
-            let cells: Vec<String> = row.iter().map(|c| csv_escape(c)).collect();
-            let _ = writeln!(out, "{}", cells.join(","));
-        }
-        out
-    }
 }
 
 fn pad(text: &str, width: usize, align: Align) -> String {
     match align {
         Align::Left => format!("{text:<width$}"),
         Align::Right => format!("{text:>width$}"),
-    }
-}
-
-fn csv_escape(cell: &str) -> String {
-    if cell.contains(',') || cell.contains('"') || cell.contains('\n') {
-        format!("\"{}\"", cell.replace('"', "\"\""))
-    } else {
-        cell.to_string()
     }
 }
 
@@ -150,17 +130,6 @@ mod tests {
         assert_eq!(lines.len(), 2 + 1 + t.num_rows());
         // All data lines have the same width.
         assert_eq!(lines[1].len(), lines[3].len());
-    }
-
-    #[test]
-    fn csv_output_and_escaping() {
-        let mut t = Table::with_headers("csv", &["label", "value"]);
-        t.add_row(vec!["a,b".into(), "1".into()]);
-        t.add_row(vec!["quote\"inside".into(), "2".into()]);
-        let csv = t.to_csv();
-        assert!(csv.starts_with("label,value\n"));
-        assert!(csv.contains("\"a,b\",1"));
-        assert!(csv.contains("\"quote\"\"inside\",2"));
     }
 
     #[test]

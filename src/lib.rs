@@ -7,8 +7,8 @@
 //! * [`graph`] — graph substrate: CSR storage, generators for every family the paper uses,
 //!   traversals and I/O ([`cobra_graph`]).
 //! * [`spectral`] — eigenvalue / spectral-gap / conductance analysis ([`cobra_spectral`]).
-//! * [`stats`] — reproducible Monte-Carlo execution, summaries, confidence intervals and
-//!   regression fits ([`cobra_stats`]).
+//! * [`stats`] — reproducible Monte-Carlo execution, summaries, regression fits and tables
+//!   ([`cobra_stats`]).
 //! * [`core`] — the COBRA and BIPS processes, the exact duality machinery, the growth-bound
 //!   audits and the baseline protocols ([`cobra_core`]).
 //! * [`experiments`] — the E1–E10 experiment harness reproducing each theorem, plus the

@@ -2,11 +2,11 @@
 //! generate → analyse → simulate → compare against the paper's budgets.
 
 use cobra::core::cobra::{Branching, CobraProcess};
-use cobra::core::process::{trace_active_counts, SpreadingProcess};
+use cobra::core::process::SpreadingProcess;
+use cobra::core::sim::{ActiveCountTrace, Runner};
 use cobra::core::theory::TheoryBounds;
 use cobra::core::{cover, infection};
 use cobra::graph::generators;
-use cobra::stats::ci::mean_confidence_interval;
 use cobra::stats::summary::Summary;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
@@ -29,17 +29,12 @@ fn expander_pipeline_respects_theorem_1_budget() {
     for _ in 0..20 {
         let outcome =
             cover::cover_time(&graph, 0, Branching::fixed(2).unwrap(), 100_000, &mut r).unwrap();
-        summary.record(outcome.rounds as f64);
+        // Every trial's cover time must sit below the Theorem 1 budget ...
+        let rounds = outcome.rounds as f64;
+        assert!(rounds < bounds.cobra_cover, "measured {rounds} vs budget {}", bounds.cobra_cover);
+        summary.record(rounds);
     }
-    // The measured cover time must sit below the Theorem 1 budget and be a small multiple of
-    // ln n (the instance has a constant spectral gap).
-    let ci = mean_confidence_interval(&summary, 0.99);
-    assert!(
-        ci.upper < bounds.cobra_cover,
-        "measured {} vs budget {}",
-        ci.upper,
-        bounds.cobra_cover
-    );
+    // ... and the mean be a small multiple of ln n (the instance has a constant spectral gap).
     assert!(summary.mean() < 12.0 * (512f64).ln(), "mean {} not O(log n)-like", summary.mean());
     assert!(summary.mean() >= (512f64).log2(), "cannot beat the doubling lower bound");
 }
@@ -116,8 +111,9 @@ fn cobra_active_set_growth_is_bounded_by_branching() {
     let mut r = rng(4);
     let graph = generators::hypercube(9).unwrap();
     let mut process = CobraProcess::new(&graph, 0, Branching::fixed(2).unwrap()).unwrap();
-    let trace = trace_active_counts(&mut process, &mut r, 500);
-    for w in trace.windows(2) {
+    let mut trace = ActiveCountTrace::new();
+    Runner::new(500).run_observed(&mut process, &mut r, &mut [&mut trace]);
+    for w in trace.trace().windows(2) {
         assert!(w[1] <= 2 * w[0], "the active set can at most double per round with k = 2");
     }
     assert!(process.is_complete(), "the hypercube should be covered within the budget");

@@ -5,6 +5,7 @@ use cobra::core::bips::BipsProcess;
 use cobra::core::cobra::{Branching, CobraProcess};
 use cobra::core::growth;
 use cobra::core::process::SpreadingProcess;
+use cobra::core::theory::TheoryBounds;
 use cobra::graph::{generators, ops};
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -96,7 +97,7 @@ proptest! {
         prop_assert!(profile.lambda_abs <= 1.0 + 1e-9);
         prop_assert!(profile.lambda_2 >= profile.lambda_min - 1e-12);
         prop_assert!(profile.connected);
-        let finite_budget = profile.cover_time_bound().is_finite();
+        let finite_budget = TheoryBounds::from_profile(&profile).cobra_cover.is_finite();
         prop_assert_eq!(finite_budget, !profile.bipartite);
         prop_assert_eq!(ops::is_bipartite(&graph), profile.bipartite);
     }

@@ -33,7 +33,6 @@ fn with_isolated_vertices() -> Graph {
 
 /// The same graph reached through every construction path.
 fn every_build_path(g: &Graph) -> Vec<(&'static str, Graph)> {
-    let adjacency: Vec<Vec<usize>> = g.vertices().map(|v| g.neighbor_iter(v).collect()).collect();
     let mut offsets = vec![0u32];
     let mut neighbors = Vec::new();
     for v in g.vertices() {
@@ -43,7 +42,6 @@ fn every_build_path(g: &Graph) -> Vec<(&'static str, Graph)> {
     let json = serde_json::to_string(g).unwrap();
     vec![
         ("from_edges", g.clone()),
-        ("from_adjacency", Graph::from_adjacency(&adjacency).unwrap()),
         ("from_raw_parts", Graph::from_raw_parts(offsets, neighbors).unwrap()),
         ("serde", serde_json::from_str(&json).unwrap()),
     ]
