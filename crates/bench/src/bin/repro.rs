@@ -91,7 +91,9 @@ const HELP_TEXT: &str = "usage: repro [--full|--quick] [--exp e1..e12] [--seed N
      `--process` table inputs. --workers sizes the thread pool, --cache-mb bounds\n\
      the shared LRU graph-instance cache, --queue bounds the job queue (submits\n\
      beyond it get {\"event\":\"error\",\"code\":\"queue-full\"}), and --port 0 picks an\n\
-     ephemeral port (printed on stdout as `serving on ADDR`)";
+     ephemeral port (printed on stdout as `serving on ADDR`). The server keeps the\n\
+     last 1024 finished jobs; status, results or cancel on an older job gets\n\
+     {\"event\":\"error\",\"code\":\"expired-job\"}";
 
 fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
     let mut options = Options {
@@ -626,11 +628,14 @@ mod tests {
             "cancel",
             "stats",
             "queue-full",
+            "expired-job",
             "accepted",
             "summary",
         ] {
             assert!(HELP_TEXT.contains(needle), "help text must mention {needle:?}");
         }
+        let retained = cobra_experiments::serve::scheduler::RETAINED_FINISHED_JOBS;
+        assert!(HELP_TEXT.contains(&format!("last {retained} finished jobs")));
     }
 
     #[test]

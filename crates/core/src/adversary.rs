@@ -111,11 +111,6 @@ impl<'a> ProcessView<'a> {
         self.graph
     }
 
-    /// Rounds executed so far.
-    pub fn round(&self) -> usize {
-        self.process.round()
-    }
-
     /// Number of vertices of the instance.
     pub fn num_vertices(&self) -> usize {
         self.process.num_vertices()
@@ -147,11 +142,6 @@ impl<'a> ProcessView<'a> {
         self.process.for_each_active(f);
     }
 
-    /// Calls `f` once per migratable token (one entry per walker for multiwalk).
-    pub fn for_each_token(&self, f: &mut dyn FnMut(VertexId)) {
-        self.process.for_each_token(f);
-    }
-
     /// Degree of vertex `v` in the underlying graph.
     pub fn degree(&self, v: VertexId) -> usize {
         self.graph.degree(v)
@@ -168,8 +158,8 @@ impl<'a> ProcessView<'a> {
 /// randomness — that is what keeps zero-strength policies (and `adv=oblivious` over a
 /// benign plan) bit-identical to the bare process.
 pub trait AdversaryPolicy: fmt::Debug + Send {
-    /// Observes the pre-step state of round `view.round()` and updates the policy's
-    /// internal fault sets for the upcoming step.
+    /// Observes the process's state before the upcoming step and updates the policy's
+    /// internal fault sets for that step.
     fn observe(&mut self, view: &ProcessView<'_>, rng: &mut dyn RngCore);
 
     /// The faults to apply in the upcoming step, borrowed from the policy's state.

@@ -23,6 +23,12 @@
 //! ascending vertex order so the RNG draw sequence is *identical* to the dense reference
 //! engine in `tests/support/dense.rs` (property-tested).
 //!
+//! Delivering a target has no branch that depends on the data. On saturated rounds
+//! "already targeted this round", "was active" and "first visit" are each close to a coin
+//! flip, so a branch on any of them mispredicts about half the time. These mispredictions
+//! were about 40 % of a saturated step at n = 10⁵, r = 8, k = 2, so `NextRound::deliver`
+//! computes all three as values and uses them as lengths and counts.
+//!
 //! At `n ≫ cache` (a random 8-regular graph on 10⁶ vertices is a 34 MiB CSR) a round is
 //! bound by memory latency, not by draws: each sender reads `offsets[u]` and then its
 //! row, two dependent misses in random places. Both draw sources therefore hint later
@@ -387,18 +393,20 @@ struct NextRound<'a> {
 }
 
 impl NextRound<'_> {
+    /// Lands one push without a branch on the data (see the module's cost model): the
+    /// target is always pushed onto `newly` and then cut off again unless it is fresh this
+    /// round and was not active. A repeated target is already visited, so its `visited`
+    /// insert adds nothing.
     // Always inlined: called from both draw sources, it would otherwise become an
     // out-of-line call per target.
     #[inline(always)]
     fn deliver(&mut self, target: VertexId) {
-        if self.next.insert(target) {
-            if !self.active.contains(target) {
-                self.newly.push(target);
-            }
-            if self.visited.insert(target) {
-                *self.num_visited += 1;
-            }
-        }
+        let fresh = self.next.insert(target);
+        let activated = fresh & !self.active.contains(target);
+        let len = self.newly.len();
+        self.newly.push(target);
+        self.newly.truncate(len + usize::from(activated));
+        *self.num_visited += usize::from(self.visited.insert(target));
     }
 }
 
@@ -576,6 +584,7 @@ impl SpreadingProcess for CobraProcess<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::ParallelFrontier;
     use crate::process::run_until_complete;
     use cobra_graph::generators;
     use rand::SeedableRng;
@@ -671,38 +680,60 @@ mod tests {
         }
     }
 
+    /// Delivery bookkeeping inputs `(graph, k, branching boost)`: `graph` with `k = 2`,
+    /// then two where most of a round's targets repeat: `k = 8` on `complete(16)`, and
+    /// every round after `set_branching_boost(4)`.
+    fn delivery_cases(graph: Graph) -> [(Graph, u32, u32); 3] {
+        [(graph.clone(), 2, 1), (generators::complete(16).unwrap(), 8, 1), (graph, 2, 4)]
+    }
+
+    /// Runs `rounds` rounds of every delivery case from both draw sources, the trial RNG
+    /// and per-vertex streams merged from two shards, calling `check` after each round
+    /// with the active set and the visited count before it.
+    fn for_each_delivery_round(
+        graph: Graph,
+        rounds: usize,
+        mut check: impl FnMut(&CobraProcess<'_>, &VertexBitset, usize),
+    ) {
+        for (g, k, boost) in delivery_cases(graph) {
+            let engine = ParallelFrontier::from_rng(&mut rng(18), 2).unwrap();
+            for streams in [None, Some(&engine)] {
+                let mut p = CobraProcess::new(&g, 0, Branching::fixed(k).unwrap()).unwrap();
+                p.set_branching_boost(boost);
+                let mut r = rng(17);
+                for _ in 0..rounds {
+                    let (previous, previous_visited) = (p.active().clone(), p.num_visited());
+                    match streams {
+                        Some(engine) => p.step_faulted(Draws::Streams(engine), &StepFaults::NONE),
+                        None => p.step(&mut r),
+                    }
+                    assert_eq!(p.num_visited(), p.visited().count(), "k={k} boost={boost}");
+                    check(&p, &previous, previous_visited);
+                }
+            }
+        }
+    }
+
     #[test]
     fn newly_activated_is_exactly_the_set_difference() {
-        let g = generators::hypercube(5).unwrap();
-        let mut p = CobraProcess::new(&g, 0, Branching::fixed(2).unwrap()).unwrap();
-        let mut r = rng(17);
-        let mut previous = p.active().clone();
-        for _ in 0..30 {
-            p.step(&mut r);
+        for_each_delivery_round(generators::hypercube(5).unwrap(), 30, |p, previous, _| {
             let mut expected: Vec<usize> =
                 p.active().iter().filter(|&v| !previous.contains(v)).collect();
             expected.sort_unstable();
             let mut newly = p.newly_activated().to_vec();
             newly.sort_unstable();
             assert_eq!(newly, expected);
-            previous = p.active().clone();
-        }
+        });
     }
 
     #[test]
     fn visited_set_is_monotone_and_contains_active() {
-        let g = generators::hypercube(6).unwrap();
-        let mut p = CobraProcess::new(&g, 0, Branching::fixed(2).unwrap()).unwrap();
-        let mut r = rng(7);
-        let mut previous_visited = p.num_visited();
-        for _ in 0..50 {
-            p.step(&mut r);
+        for_each_delivery_round(generators::hypercube(6).unwrap(), 50, |p, _, previous_visited| {
             assert!(p.num_visited() >= previous_visited);
-            previous_visited = p.num_visited();
             for v in p.active().iter() {
                 assert!(p.visited().contains(v), "active vertex {v} must be visited");
             }
-        }
+        });
     }
 
     #[test]

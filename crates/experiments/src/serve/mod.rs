@@ -35,7 +35,7 @@ use cobra_stats::rng::SeedSequence;
 
 use cache::GraphCache;
 use protocol::{JobParams, Request, RequestError, TrialTrace, MAX_REQUEST_BYTES};
-use scheduler::{CancelOutcome, JobPhase, Scheduler};
+use scheduler::{CancelOutcome, JobPhase, Lookup, Scheduler, RETAINED_FINISHED_JOBS};
 
 /// Server construction parameters — the `repro serve` flags.
 #[derive(Debug, Clone)]
@@ -245,15 +245,17 @@ fn dispatch(
             Err(reason) => write_line(writer, &protocol::error_event("queue-full", &reason)),
         },
         Request::Status { job } => match scheduler.status(job) {
-            Some(status) => write_line(writer, &protocol::status_event(job, &status)),
-            None => write_line(writer, &unknown_job(job)),
+            Ok(status) => write_line(writer, &protocol::status_event(job, &status)),
+            Err(missing) => write_line(writer, &missing_job(job, missing)),
         },
         Request::Cancel { job } => {
             let outcome = match scheduler.cancel(job, &protocol::job_cancelled_event(job)) {
                 CancelOutcome::Cancelled => "cancelled",
                 CancelOutcome::Requested => "requested",
                 CancelOutcome::AlreadyTerminal => "already-terminal",
-                CancelOutcome::Unknown => return write_line(writer, &unknown_job(job)),
+                CancelOutcome::Missing(missing) => {
+                    return write_line(writer, &missing_job(job, missing))
+                }
             };
             write_line(writer, &protocol::cancel_ack_event(job, outcome))
         }
@@ -263,8 +265,9 @@ fn dispatch(
         Request::Results { job } => {
             let mut cursor = 0;
             loop {
-                let Some((events, terminal)) = scheduler.next_events(job, cursor) else {
-                    return write_line(writer, &unknown_job(job));
+                let (events, terminal) = match scheduler.next_events(job, cursor) {
+                    Ok(batch) => batch,
+                    Err(missing) => return write_line(writer, &missing_job(job, missing)),
                 };
                 write_lines(writer, &events)?;
                 if terminal && events.is_empty() {
@@ -276,8 +279,22 @@ fn dispatch(
     }
 }
 
-fn unknown_job(job: u64) -> String {
-    protocol::error_event("unknown-job", &format!("no job {job} (ids come from accepted events)"))
+/// The error for an id with no record: `unknown-job` if it was never issued, `expired-job`
+/// if the job finished and was evicted.
+fn missing_job(job: u64, missing: Lookup) -> String {
+    match missing {
+        Lookup::Unknown => protocol::error_event(
+            "unknown-job",
+            &format!("no job {job} (ids come from accepted events)"),
+        ),
+        Lookup::Expired => protocol::error_event(
+            "expired-job",
+            &format!(
+                "job {job} finished and its record was evicted; the server keeps the last \
+                 {RETAINED_FINISHED_JOBS} finished jobs"
+            ),
+        ),
+    }
 }
 
 // ---------------------------------------------------------------------------------------

@@ -117,7 +117,7 @@ pub enum Request {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RequestError {
     /// Stable error code (`malformed-request`, `invalid-request`, `invalid-spec`,
-    /// `invalid-graph`, `oversized-request`, `queue-full`, `unknown-job`).
+    /// `invalid-graph`, `oversized-request`, `queue-full`, `unknown-job`, `expired-job`).
     pub code: &'static str,
     /// What was wrong, with the offending input where useful.
     pub message: String,

@@ -1,16 +1,23 @@
 //! Job table, bounded queue and worker coordination for `repro serve`.
 //!
-//! One mutex guards the whole job table (a [`BTreeMap`] so ids iterate in submission
-//! order — deterministic `stats`, no hash-order dependence), with two condvars layered on
-//! top: `queue_ready` wakes workers when a job is enqueued, `events_ready` wakes result
-//! streamers when a job appends an event. The queue is **bounded**: a submit that would
+//! One mutex guards the whole job table (a [`BTreeMap`] keyed by job id), with two condvars
+//! layered on top: `queue_ready` wakes workers when a job is enqueued, `events_ready` wakes
+//! result streamers when a job appends an event. The queue is **bounded**: a submit that would
 //! exceed the capacity is rejected with a `queue-full` error naming the capacity —
 //! backpressure by refusal, never by blocking the accept loop.
 //!
 //! Job lifecycle: `queued -> running(worker) -> done | failed | cancelled`. A cancel hits a
 //! queued job immediately (it never reaches a worker); a running job is flagged and the
-//! worker abandons it at the next trial boundary. Every event line a job ever produced is
-//! retained, so `results` can re-stream a finished job for late clients.
+//! worker abandons it at the next trial boundary.
+//!
+//! Every event line of a queued or running job is kept, and so are those of the last
+//! [`RETAINED_FINISHED_JOBS`] jobs to finish, so `results` can re-stream a finished job for
+//! a late client. When one more job finishes, the job that finished longest ago is evicted
+//! with its record and event log, so memory stays bounded however many jobs a server
+//! runs. A lookup of an evicted id reports [`Lookup::Expired`], which serve turns into an
+//! `expired-job` error, and one of an id never issued reports [`Lookup::Unknown`]
+//! (`unknown-job`). The `stats` counts are running totals kept at each phase change, so
+//! an eviction does not change them.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -64,8 +71,20 @@ pub struct StatusSnapshot {
     pub trials_total: usize,
 }
 
-/// Job counts for the `stats` endpoint.
+/// How many finished jobs keep their record and event log; see the module doc.
+pub const RETAINED_FINISHED_JOBS: usize = 1024;
+
+/// Why a job id has no record in the table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lookup {
+    /// The id was never issued.
+    Unknown,
+    /// The job finished and its record was evicted.
+    Expired,
+}
+
+/// Job counts for the `stats` endpoint.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedulerStats {
     /// Jobs ever accepted.
     pub submitted: u64,
@@ -90,8 +109,21 @@ pub enum CancelOutcome {
     Requested,
     /// The job had already reached a terminal phase.
     AlreadyTerminal,
-    /// No such job id.
-    Unknown,
+    /// No record for this id.
+    Missing(Lookup),
+}
+
+impl SchedulerStats {
+    /// The count of jobs in `phase`.
+    fn count_mut(&mut self, phase: JobPhase) -> &mut usize {
+        match phase {
+            JobPhase::Queued => &mut self.queued,
+            JobPhase::Running => &mut self.running,
+            JobPhase::Done => &mut self.done,
+            JobPhase::Failed => &mut self.failed,
+            JobPhase::Cancelled => &mut self.cancelled,
+        }
+    }
 }
 
 struct JobRecord {
@@ -108,7 +140,38 @@ struct JobRecord {
 struct Inner {
     jobs: BTreeMap<u64, JobRecord>,
     queue: VecDeque<u64>,
+    /// Ids of the retained finished jobs, in the order they finished.
+    finished: VecDeque<u64>,
     next_id: u64,
+    /// Running totals, updated at every phase change.
+    stats: SchedulerStats,
+}
+
+impl Inner {
+    /// Moves `job` to phase `to`, keeping the running totals. A job reaching a terminal
+    /// phase joins the retained finished jobs, which may evict the oldest of them.
+    fn set_phase(&mut self, job: u64, to: JobPhase) {
+        let record = self.jobs.get_mut(&job).expect("only a job in the table changes phase");
+        *self.stats.count_mut(record.phase) -= 1;
+        *self.stats.count_mut(to) += 1;
+        record.phase = to;
+        if to.is_terminal() {
+            self.finished.push_back(job);
+            if self.finished.len() > RETAINED_FINISHED_JOBS {
+                let oldest = self.finished.pop_front().expect("more than the cap retained");
+                self.jobs.remove(&oldest);
+            }
+        }
+    }
+
+    /// Why `job` has no record: evicted if the id was issued, else unknown.
+    fn missing(&self, job: u64) -> Lookup {
+        if (1..self.next_id).contains(&job) {
+            Lookup::Expired
+        } else {
+            Lookup::Unknown
+        }
+    }
 }
 
 /// Claims the next queued job id, if any.
@@ -117,7 +180,7 @@ fn pop_ready(queue: &mut VecDeque<u64>) -> Option<u64> {
     queue.pop_front()
 }
 
-/// The shared scheduler: bounded job queue plus full job table.
+/// The shared scheduler: bounded job queue plus the job table.
 pub struct Scheduler {
     inner: Mutex<Inner>,
     queue_ready: Condvar,
@@ -139,7 +202,13 @@ impl Scheduler {
     /// Creates a scheduler whose queue holds at most `queue_capacity` waiting jobs.
     pub fn new(queue_capacity: usize) -> Self {
         Scheduler {
-            inner: Mutex::new(Inner { jobs: BTreeMap::new(), queue: VecDeque::new(), next_id: 1 }),
+            inner: Mutex::new(Inner {
+                jobs: BTreeMap::new(),
+                queue: VecDeque::new(),
+                finished: VecDeque::new(),
+                next_id: 1,
+                stats: SchedulerStats::default(),
+            }),
             queue_ready: Condvar::new(),
             events_ready: Condvar::new(),
             queue_capacity,
@@ -166,6 +235,8 @@ impl Scheduler {
             },
         );
         inner.queue.push_back(id);
+        inner.stats.submitted += 1;
+        inner.stats.queued += 1;
         id
     }
 
@@ -222,8 +293,8 @@ impl Scheduler {
                 return None;
             }
             if let Some(id) = pop_ready(&mut inner.queue) {
+                inner.set_phase(id, JobPhase::Running);
                 let record = inner.jobs.get_mut(&id).expect("queued job must exist");
-                record.phase = JobPhase::Running;
                 record.worker = Some(worker);
                 return Some((id, record.params.clone()));
             }
@@ -247,9 +318,9 @@ impl Scheduler {
         debug_assert!(phase.is_terminal());
         let mut inner = self.lock();
         if let Some(record) = inner.jobs.get_mut(&job) {
-            record.phase = phase;
             record.worker = None;
             record.events.push(event);
+            inner.set_phase(job, phase);
         }
         drop(inner);
         self.events_ready.notify_all();
@@ -260,12 +331,13 @@ impl Scheduler {
     /// worker to notice at the next trial boundary.
     pub fn cancel(&self, job: u64, terminal_event: &str) -> CancelOutcome {
         let mut inner = self.lock();
-        let Some(record) = inner.jobs.get_mut(&job) else { return CancelOutcome::Unknown };
+        let missing = inner.missing(job);
+        let Some(record) = inner.jobs.get_mut(&job) else { return CancelOutcome::Missing(missing) };
         let outcome = match record.phase {
             JobPhase::Queued => {
-                record.phase = JobPhase::Cancelled;
                 record.events.push(terminal_event.to_string());
                 inner.queue.retain(|&queued| queued != job);
+                inner.set_phase(job, JobPhase::Cancelled);
                 CancelOutcome::Cancelled
             }
             JobPhase::Running => {
@@ -290,10 +362,15 @@ impl Scheduler {
         self.lock().jobs.get(&job).is_some_and(|record| record.cancel_requested)
     }
 
-    /// The job's phase and progress, or `None` for an unknown id.
-    pub fn status(&self, job: u64) -> Option<StatusSnapshot> {
+    /// The job's phase and progress.
+    ///
+    /// # Errors
+    ///
+    /// Returns why the table holds no record for `job`.
+    pub fn status(&self, job: u64) -> Result<StatusSnapshot, Lookup> {
         let inner = self.lock();
-        inner.jobs.get(&job).map(|record| StatusSnapshot {
+        let record = inner.jobs.get(&job).ok_or_else(|| inner.missing(job))?;
+        Ok(StatusSnapshot {
             phase: record.phase,
             worker: record.worker,
             trials_done: record.trials_done,
@@ -303,43 +380,29 @@ impl Scheduler {
 
     /// Blocks until `job` has events past `cursor` (returning the new lines and whether the
     /// job is terminal) or the scheduler shuts down (returning an empty terminal batch).
-    /// Returns `None` for an unknown id.
-    pub fn next_events(&self, job: u64, cursor: usize) -> Option<(Vec<String>, bool)> {
+    ///
+    /// # Errors
+    ///
+    /// Returns why the table holds no record for `job`, also when the job is evicted while
+    /// a streamer waits.
+    pub fn next_events(&self, job: u64, cursor: usize) -> Result<(Vec<String>, bool), Lookup> {
         let mut inner = self.lock();
         loop {
-            let record = inner.jobs.get(&job)?;
+            let record = inner.jobs.get(&job).ok_or_else(|| inner.missing(job))?;
             let terminal = record.phase.is_terminal();
             if record.events.len() > cursor {
-                return Some((record.events[cursor..].to_vec(), terminal));
+                return Ok((record.events[cursor..].to_vec(), terminal));
             }
             if terminal || self.shutdown.load(Ordering::SeqCst) {
-                return Some((Vec::new(), true));
+                return Ok((Vec::new(), true));
             }
             inner = self.events_ready.wait(inner).expect("scheduler poisoned");
         }
     }
 
-    /// Job counts by phase.
+    /// Job counts by phase, and jobs ever accepted.
     pub fn stats(&self) -> SchedulerStats {
-        let inner = self.lock();
-        let mut stats = SchedulerStats {
-            submitted: inner.next_id - 1,
-            queued: 0,
-            running: 0,
-            done: 0,
-            failed: 0,
-            cancelled: 0,
-        };
-        for record in inner.jobs.values() {
-            match record.phase {
-                JobPhase::Queued => stats.queued += 1,
-                JobPhase::Running => stats.running += 1,
-                JobPhase::Done => stats.done += 1,
-                JobPhase::Failed => stats.failed += 1,
-                JobPhase::Cancelled => stats.cancelled += 1,
-            }
-        }
-        stats
+        self.lock().stats
     }
 
     /// Signals every blocked worker and streamer to wind down.
@@ -428,7 +491,43 @@ mod tests {
         assert!(scheduler.should_abort(running));
         scheduler.finish(running, "cancelled-event".to_string(), JobPhase::Cancelled);
         assert_eq!(scheduler.cancel(running, "unused"), CancelOutcome::AlreadyTerminal);
-        assert_eq!(scheduler.cancel(999, "unused"), CancelOutcome::Unknown);
+        assert_eq!(scheduler.cancel(999, "unused"), CancelOutcome::Missing(Lookup::Unknown));
+    }
+
+    #[test]
+    fn finished_jobs_past_the_cap_are_evicted_oldest_first_and_totals_survive() {
+        let scheduler = Scheduler::new(RETAINED_FINISHED_JOBS + 8);
+        let cancelled = scheduler.submit(params()).unwrap();
+        scheduler.cancel(cancelled, "cancelled-event");
+        let running = scheduler.submit(params()).unwrap();
+        assert_eq!(scheduler.next_job(0).unwrap().0, running);
+        for _ in 0..RETAINED_FINISHED_JOBS {
+            let id = scheduler.submit(params()).unwrap();
+            let (claimed, _) = scheduler.next_job(1).unwrap();
+            assert_eq!(claimed, id);
+            scheduler.finish(id, "summary".to_string(), JobPhase::Done);
+        }
+        // The cancelled job finished first, so it is the one evicted; the running job is
+        // never evicted, however long it runs.
+        assert_eq!(scheduler.status(cancelled), Err(Lookup::Expired));
+        assert_eq!(scheduler.next_events(cancelled, 0), Err(Lookup::Expired));
+        assert_eq!(scheduler.cancel(cancelled, "unused"), CancelOutcome::Missing(Lookup::Expired));
+        assert_eq!(scheduler.status(running).unwrap().phase, JobPhase::Running);
+        assert_eq!(scheduler.status(running + 1).unwrap().phase, JobPhase::Done);
+        let never_issued = RETAINED_FINISHED_JOBS as u64 + 3;
+        assert_eq!(scheduler.status(never_issued), Err(Lookup::Unknown));
+        assert_eq!(scheduler.status(0), Err(Lookup::Unknown));
+        let stats = scheduler.stats();
+        assert_eq!(
+            (stats.submitted, stats.queued, stats.running, stats.done, stats.cancelled),
+            (RETAINED_FINISHED_JOBS as u64 + 2, 0, 1, RETAINED_FINISHED_JOBS, 1)
+        );
+        // Finishing the running job evicts the oldest done job, not the newest.
+        scheduler.finish(running, "summary".to_string(), JobPhase::Failed);
+        assert_eq!(scheduler.status(running + 1), Err(Lookup::Expired));
+        assert_eq!(scheduler.status(running + 2).unwrap().phase, JobPhase::Done);
+        assert_eq!(scheduler.status(running).unwrap().phase, JobPhase::Failed);
+        assert_eq!((scheduler.stats().running, scheduler.stats().failed), (0, 1));
     }
 
     #[test]

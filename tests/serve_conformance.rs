@@ -16,6 +16,7 @@ use cobra::core::CoreError;
 use cobra::experiments::driver;
 use cobra::experiments::serve::cache::GraphCache;
 use cobra::experiments::serve::protocol::{self, JobParams, TrialTrace};
+use cobra::experiments::serve::scheduler::RETAINED_FINISHED_JOBS;
 use cobra::experiments::serve::{spawn, ServeConfig, ServerHandle};
 use cobra::graph::generators::GraphFamily;
 use cobra::stats::parallel::TrialConfig;
@@ -114,6 +115,19 @@ fn submit(client: &mut Client, params: &JobParams) -> u64 {
     let reply = client.request(&submit_line(params));
     assert_eq!(event_of(&reply), "accepted", "{reply}");
     json_u64(&reply, "job")
+}
+
+/// The job ids of a `batch-accepted` reply.
+fn batch_ids(reply: &str) -> Vec<u64> {
+    assert_eq!(event_of(reply), "batch-accepted", "{reply}");
+    json_object(reply)
+        .iter()
+        .find(|(key, _)| key == "jobs")
+        .and_then(|(_, value)| value.as_array())
+        .expect("jobs array")
+        .iter()
+        .map(|v| v.as_f64().expect("job id") as u64)
+        .collect()
 }
 
 fn stream_results(client: &mut Client, job: u64) -> Vec<String> {
@@ -557,6 +571,49 @@ fn cancel_hits_queued_jobs_immediately_and_running_jobs_at_a_trial_boundary() {
 }
 
 // ---------------------------------------------------------------------------------------
+// Finished-job retention
+// ---------------------------------------------------------------------------------------
+
+#[test]
+fn finished_jobs_past_the_retention_cap_expire_and_stats_keep_their_totals() {
+    // One worker runs jobs in id order, so they finish in id order, and once a batch's
+    // last job has finished so has every job before it.
+    let handle = server(1, 1 << 20, 64);
+    let mut client = Client::connect(handle.addr());
+    let job = params("cobra:k=2", "complete:n=8", 1, 1, 100);
+    let first = submit(&mut client, &job);
+    assert_eq!(stream_results(&mut client, first), expected_lines(first, &job));
+    let (mut last, mut submitted) = (first, 0);
+    while submitted < RETAINED_FINISHED_JOBS {
+        let size = (RETAINED_FINISHED_JOBS - submitted).min(64);
+        let specs = vec!["\"cobra:k=2\""; size].join(",");
+        let ids = batch_ids(&client.request(&format!(
+            "{{\"cmd\":\"batch\",\"specs\":[{specs}],\"graphs\":[\"complete:n=8\"],\
+             \"trials\":1,\"seed\":1,\"max_rounds\":100}}"
+        )));
+        submitted += ids.len();
+        last = *ids.last().expect("a non-empty batch");
+        assert!(is_terminal(stream_results(&mut client, last).last().unwrap()));
+    }
+    for request in ["status", "results", "cancel"] {
+        let reply = client.request(&format!("{{\"cmd\":\"{request}\",\"job\":{first}}}"));
+        assert_eq!(event_of(&reply), "error", "{request} -> {reply}");
+        assert_eq!(json_str(&reply, "code"), "expired-job", "{request} -> {reply}");
+        let never_issued = last + 1000;
+        let reply = client.request(&format!("{{\"cmd\":\"{request}\",\"job\":{never_issued}}}"));
+        assert_eq!(json_str(&reply, "code"), "unknown-job", "{request} -> {reply}");
+    }
+    // The next-oldest job is still retained and re-streams in full.
+    assert_eq!(stream_results(&mut client, first + 1), expected_lines(first + 1, &job));
+    let stats = client.request("{\"cmd\":\"stats\"}");
+    let finished = RETAINED_FINISHED_JOBS as u64 + 1;
+    assert_eq!(json_u64(&stats, "jobs"), finished, "{stats}");
+    assert_eq!(json_u64(&stats, "done"), finished, "evicted jobs still count: {stats}");
+    assert_eq!(json_u64(&stats, "running") + json_u64(&stats, "queued"), 0, "{stats}");
+    handle.shutdown();
+}
+
+// ---------------------------------------------------------------------------------------
 // Batch fan-out
 // ---------------------------------------------------------------------------------------
 
@@ -569,16 +626,7 @@ fn batches_expand_the_matrix_and_every_job_matches_the_cli() {
          \"graphs\":[\"complete:n=16\",\"complete:n=24\"],\"trials\":2,\"seed\":11,\
          \"max_rounds\":2000}",
     );
-    assert_eq!(event_of(&reply), "batch-accepted", "{reply}");
-    let entries = json_object(&reply);
-    let ids: Vec<u64> = entries
-        .iter()
-        .find(|(key, _)| key == "jobs")
-        .and_then(|(_, value)| value.as_array())
-        .expect("jobs array")
-        .iter()
-        .map(|v| v.as_f64().expect("job id") as u64)
-        .collect();
+    let ids = batch_ids(&reply);
     assert_eq!(ids.len(), 4, "2 specs x 2 graphs");
     let matrix = [
         ("cobra:k=2", "complete:n=16"),
