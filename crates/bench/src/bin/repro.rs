@@ -319,7 +319,7 @@ fn run_ad_hoc(options: &Options, spec: &ProcessSpec) -> ExitCode {
     let config = TrialConfig::parallel(trials);
     let outcomes = if churned {
         spec.clone()
-            .with_churn(None)
+            .without_churn()
             .build(&graph)
             .map(|_| driver::run_adverse_trials(&family, spec, &runner, &seq, &label, config))
     } else if let Some(threads) = options.threads {

@@ -819,7 +819,7 @@ mod tests {
         let mut inner = base.build(&graph).unwrap();
         // Put the process at exactly half coverage: the first observation sees the
         // four-vertex delta, arms, and strikes.
-        inner.adopt_state(&[0, 1, 2, 3], None).unwrap();
+        inner.adopt_state(&[0, 1, 2, 3], None, 0).unwrap();
         let mut r = rng(13);
         for round in 0..3 {
             policy.observe(&ProcessView::new(inner.as_ref(), &graph), &mut r);

@@ -290,7 +290,12 @@ impl SpreadingProcess for ContactProcess<'_> {
         self.frontier.len() == self.graph.num_vertices()
     }
 
-    fn adopt_state(&mut self, active: &[VertexId], coverage: Option<&VertexBitset>) -> Result<()> {
+    fn adopt_state(
+        &mut self,
+        active: &[VertexId],
+        coverage: Option<&VertexBitset>,
+        round: usize,
+    ) -> Result<()> {
         crate::process::validate_adopted_state(self.graph.num_vertices(), active, coverage)?;
         self.infected.clear_list(&self.frontier);
         self.frontier.clear();
@@ -304,7 +309,7 @@ impl SpreadingProcess for ContactProcess<'_> {
             self.newly.push(self.source);
         }
         self.infected.collect_into(&mut self.frontier);
-        self.round = 0;
+        self.round = round;
         Ok(())
     }
 

@@ -232,7 +232,12 @@ impl SpreadingProcess for MultipleRandomWalks<'_> {
         Some(&self.visited)
     }
 
-    fn adopt_state(&mut self, active: &[VertexId], coverage: Option<&VertexBitset>) -> Result<()> {
+    fn adopt_state(
+        &mut self,
+        active: &[VertexId],
+        coverage: Option<&VertexBitset>,
+        round: usize,
+    ) -> Result<()> {
         crate::process::validate_adopted_state(self.graph.num_vertices(), active, coverage)?;
         if active.is_empty() {
             return Err(CoreError::InvalidParameters {
@@ -269,7 +274,7 @@ impl SpreadingProcess for MultipleRandomWalks<'_> {
             self.visited.insert(v);
         }
         self.num_visited = self.visited.count();
-        self.round = 0;
+        self.round = round;
         Ok(())
     }
 
@@ -366,7 +371,7 @@ mod tests {
         let mut walks = MultipleRandomWalks::new(&g, 0, 4).unwrap();
         // Three walkers stacked on vertex 7, one on vertex 2: the occupancy set alone
         // would lose the stacking.
-        walks.adopt_state(&[7, 7, 2, 7], None).unwrap();
+        walks.adopt_state(&[7, 7, 2, 7], None, 0).unwrap();
         assert_eq!(walks.positions, &[7, 7, 2, 7]);
         assert_eq!(walks.num_active(), 2, "two occupied vertices");
         assert!(walks.active().contains(7) && walks.active().contains(2));
@@ -380,10 +385,10 @@ mod tests {
     fn adopting_a_plain_active_set_falls_back_to_round_robin() {
         let g = generators::cycle(10).unwrap();
         let mut walks = MultipleRandomWalks::new(&g, 0, 5).unwrap();
-        walks.adopt_state(&[1, 8], None).unwrap();
+        walks.adopt_state(&[1, 8], None, 0).unwrap();
         assert_eq!(walks.positions, &[1, 8, 1, 8, 1]);
         assert_eq!(walks.num_active(), 2);
-        assert!(walks.adopt_state(&[], None).is_err(), "adopting nothing is rejected");
+        assert!(walks.adopt_state(&[], None, 0).is_err(), "adopting nothing is rejected");
     }
 
     #[test]

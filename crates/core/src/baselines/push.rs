@@ -185,7 +185,12 @@ impl SpreadingProcess for PushProcess<'_> {
         self.informed_list.len() == self.graph.num_vertices()
     }
 
-    fn adopt_state(&mut self, active: &[VertexId], coverage: Option<&VertexBitset>) -> Result<()> {
+    fn adopt_state(
+        &mut self,
+        active: &[VertexId],
+        coverage: Option<&VertexBitset>,
+        round: usize,
+    ) -> Result<()> {
         crate::process::validate_adopted_state(self.graph.num_vertices(), active, coverage)?;
         self.informed.clear_list(&self.informed_list);
         self.informed_list.clear();
@@ -196,7 +201,7 @@ impl SpreadingProcess for PushProcess<'_> {
             }
         }
         self.informed.collect_into(&mut self.informed_list);
-        self.round = 0;
+        self.round = round;
         Ok(())
     }
 
@@ -383,7 +388,12 @@ impl SpreadingProcess for PushPullProcess<'_> {
         self.informed_list.len() == self.graph.num_vertices()
     }
 
-    fn adopt_state(&mut self, active: &[VertexId], coverage: Option<&VertexBitset>) -> Result<()> {
+    fn adopt_state(
+        &mut self,
+        active: &[VertexId],
+        coverage: Option<&VertexBitset>,
+        round: usize,
+    ) -> Result<()> {
         crate::process::validate_adopted_state(self.graph.num_vertices(), active, coverage)?;
         self.informed.clear_list(&self.informed_list);
         self.informed_list.clear();
@@ -394,7 +404,7 @@ impl SpreadingProcess for PushPullProcess<'_> {
             }
         }
         self.informed.collect_into(&mut self.informed_list);
-        self.round = 0;
+        self.round = round;
         Ok(())
     }
 

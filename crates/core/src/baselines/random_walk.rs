@@ -148,7 +148,12 @@ impl SpreadingProcess for RandomWalk<'_> {
         Some(&self.visited)
     }
 
-    fn adopt_state(&mut self, active: &[VertexId], coverage: Option<&VertexBitset>) -> Result<()> {
+    fn adopt_state(
+        &mut self,
+        active: &[VertexId],
+        coverage: Option<&VertexBitset>,
+        round: usize,
+    ) -> Result<()> {
         crate::process::validate_adopted_state(self.graph.num_vertices(), active, coverage)?;
         let &position = active.first().ok_or_else(|| CoreError::InvalidParameters {
             reason: "a random walk adopts exactly one active vertex, got none".to_string(),
@@ -169,7 +174,7 @@ impl SpreadingProcess for RandomWalk<'_> {
         }
         self.visited.insert(position);
         self.num_visited = self.visited.count();
-        self.round = 0;
+        self.round = round;
         Ok(())
     }
 

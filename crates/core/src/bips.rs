@@ -305,7 +305,12 @@ impl SpreadingProcess for BipsProcess<'_> {
         self.infected_list.len() == self.graph.num_vertices()
     }
 
-    fn adopt_state(&mut self, active: &[VertexId], coverage: Option<&VertexBitset>) -> Result<()> {
+    fn adopt_state(
+        &mut self,
+        active: &[VertexId],
+        coverage: Option<&VertexBitset>,
+        round: usize,
+    ) -> Result<()> {
         crate::process::validate_adopted_state(self.graph.num_vertices(), active, coverage)?;
         self.infected.clear_list(&self.infected_list);
         self.next_infected.clear_list(&self.next_list);
@@ -322,7 +327,7 @@ impl SpreadingProcess for BipsProcess<'_> {
             self.newly.push(self.source);
         }
         self.infected.collect_into(&mut self.infected_list);
-        self.round = 0;
+        self.round = round;
         Ok(())
     }
 

@@ -502,7 +502,12 @@ impl SpreadingProcess for CobraProcess<'_> {
         Some(&self.visited)
     }
 
-    fn adopt_state(&mut self, active: &[VertexId], coverage: Option<&VertexBitset>) -> Result<()> {
+    fn adopt_state(
+        &mut self,
+        active: &[VertexId],
+        coverage: Option<&VertexBitset>,
+        round: usize,
+    ) -> Result<()> {
         crate::process::validate_adopted_state(self.graph.num_vertices(), active, coverage)?;
         self.active.clear_list(&self.frontier);
         self.frontier.clear();
@@ -524,7 +529,7 @@ impl SpreadingProcess for CobraProcess<'_> {
             }),
         }
         self.num_visited = self.visited.count();
-        self.round = 0;
+        self.round = round;
         Ok(())
     }
 

@@ -692,7 +692,7 @@ mod tests {
         for v in [0, 1, 2] {
             covered.insert(v);
         }
-        process.adopt_state(&[], Some(&covered)).unwrap();
+        process.adopt_state(&[], Some(&covered), 0).unwrap();
         policy.observe(&ProcessView::new(process.as_ref(), &graph), &mut r);
         assert_eq!(policy.actions().reseed, &[0]);
         // The cooldown mutes the next firings even though the frontier is still dead.
@@ -739,7 +739,7 @@ mod tests {
         }
         let policy = Box::new(ReseedPolicy::new(AdversaryBudget::Count { count: 2 }, 4));
         let mut defended = defended(&graph, &base, policy);
-        defended.adopt_state(&[], Some(&covered)).unwrap();
+        defended.adopt_state(&[], Some(&covered), 0).unwrap();
         assert_eq!(defended.num_active(), 0, "the frontier starts dead");
         let rounds = run_until_complete(&mut defended, &mut rng(11), 10_000);
         assert!(rounds.is_some(), "re-seeding must revive the dead run to completion");

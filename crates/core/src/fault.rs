@@ -44,10 +44,10 @@
 //! reproduce `drop=f` bit for bit.
 //!
 //! Churn cannot be expressed by a wrapper over a process that borrows one fixed graph;
-//! [`run_churned`] owns the segment loop instead: it re-instantiates the
-//! [`GraphFamily`] every `T` rounds and migrates the
-//! process state through [`SpreadingProcess::adopt_state`], carrying walker multiplicities
-//! exactly via [`SpreadingProcess::for_each_token`]. [`run_churned_observed`] additionally
+//! [`run_churned`] re-instantiates the [`GraphFamily`] every `T` rounds instead, migrates
+//! the process state through [`SpreadingProcess::adopt_state`] (carrying walker
+//! multiplicities exactly via [`SpreadingProcess::for_each_token`], and resuming the round
+//! index) and runs each epoch through the `Runner`'s round loop. [`run_churned_observed`]
 //! threads `Runner` observers across the epochs: traces and first-visit times see one
 //! continuous run with a monotone round index.
 //!
@@ -102,7 +102,7 @@ use crate::adversary::{AdversaryPolicy, AdversarySpec, ProcessView};
 use crate::defense::{DefensePolicy, DefenseSpec, DefenseStats};
 use crate::parallel::{Draws, ADVERSARY_ENTITY, DEFENSE_ENTITY, FAULT_ENTITY};
 use crate::process::SpreadingProcess;
-use crate::sim::{Observer, RunOutcome, Runner, StopReason};
+use crate::sim::{Observer, RunOutcome, Runner};
 use crate::spec::ProcessSpec;
 use crate::{CoreError, Result};
 
@@ -1172,8 +1172,8 @@ impl PlanDynamics {
         }
     }
 
-    /// Folds `extra` crashed vertices (the adversary's, or an outer caller's) into the
-    /// crashed set. Folding every round keeps them down under repair dynamics; no draws.
+    /// Folds the adversary's `extra` crashed vertices into the crashed set. Folding every
+    /// round keeps them down under repair dynamics; no draws.
     fn fold_crashes(&mut self, extra: Option<&VertexBitset>) {
         let Some(extra) = extra else { return };
         match &mut self.crashed {
@@ -1283,9 +1283,12 @@ impl PlanDynamics {
 /// the oblivious adversary.
 ///
 /// The wrapper is itself a [`SpreadingProcess`], so the `Runner`, every observer and the
-/// Monte-Carlo driver handle it exactly like a bare process. Churn is *not* handled here
-/// (a wrapper cannot re-instantiate a graph its inner process borrows); use
-/// [`run_churned`].
+/// Monte-Carlo driver handle it exactly like a bare process. It is never nested
+/// ([`ProcessSpec::faulted`] flattens) and its drivers step it without faults of their own,
+/// so [`step_faulted`](SpreadingProcess::step_faulted) expects the benign
+/// [`StepFaults::NONE`] (debug-asserted) and applies only the environment's faults. Churn
+/// is *not* handled here (a wrapper cannot re-instantiate a graph its inner process
+/// borrows); use [`run_churned`].
 pub struct FaultedProcess<'g> {
     inner: Box<dyn SpreadingProcess + Send + 'g>,
     graph: &'g Graph,
@@ -1380,13 +1383,12 @@ impl<'g> FaultedProcess<'g> {
 }
 
 impl SpreadingProcess for FaultedProcess<'_> {
-    // One round of the environment, composed with the faults of an outer caller: drops
-    // are independent, crashes fold into the plan's set, and the targeted drop, severed
-    // partition and edge bank of the environment win over the outer caller's.
+    // One round of the environment; `outer` is always benign (see the type's doc).
     // cobra-lint: hot
     // cobra-lint: par
     // cobra-lint: draws(bounded)
     fn step_faulted(&mut self, mut draws: Draws<'_>, outer: &StepFaults<'_>) {
+        debug_assert!(outer.is_benign(), "a FaultedProcess composes no outer faults");
         let round = self.inner.round() as u64;
         let graph = self.graph;
         let mut backoff = false;
@@ -1436,15 +1438,13 @@ impl SpreadingProcess for FaultedProcess<'_> {
             drop
         });
         dynamics.fold_crashes(own.crashed_set());
-        dynamics.fold_crashes(outer.crashed_set());
         // A backoff mutes the process's own transmissions: a unit drop.
-        let outer_drop = if backoff { 1.0 } else { outer.drop_probability() };
-        let drop = 1.0 - (1.0 - plan_drop) * (1.0 - own.drop_probability()) * (1.0 - outer_drop);
-        let targeted = if own.targeted_set().is_some() { &own } else { outer };
+        let drop =
+            if backoff { 1.0 } else { 1.0 - (1.0 - plan_drop) * (1.0 - own.drop_probability()) };
         let faults = StepFaults::new(drop, self.dynamics.crashed())
-            .with_targeted(targeted.targeted_drop_probability(), targeted.targeted_set())
-            .with_partition(own.severed_side().or(outer.severed_side()))
-            .with_edge_channels(self.edges.as_ref().or(outer.edge));
+            .with_targeted(own.targeted_drop_probability(), own.targeted_set())
+            .with_partition(own.severed_side())
+            .with_edge_channels(self.edges.as_ref());
         self.inner.step_faulted(draws, &faults);
     }
 
@@ -1484,16 +1484,13 @@ impl SpreadingProcess for FaultedProcess<'_> {
         self.inner.coverage()
     }
 
-    fn adopt_state(&mut self, active: &[VertexId], coverage: Option<&VertexBitset>) -> Result<()> {
-        self.inner.adopt_state(active, coverage)
-    }
-
-    fn set_branching_boost(&mut self, multiplier: u32) -> f64 {
-        self.inner.set_branching_boost(multiplier)
-    }
-
-    fn reseed(&mut self, vertices: &[VertexId]) -> usize {
-        reseed_live(self.inner.as_mut(), self.dynamics.crashed(), vertices)
+    fn adopt_state(
+        &mut self,
+        active: &[VertexId],
+        coverage: Option<&VertexBitset>,
+        round: usize,
+    ) -> Result<()> {
+        self.inner.adopt_state(active, coverage, round)
     }
 
     fn reset(&mut self) {
@@ -1510,63 +1507,6 @@ impl SpreadingProcess for FaultedProcess<'_> {
         }
         self.applied_multiplier = 1;
         self.stats = DefenseStats::default();
-    }
-}
-
-/// A read-only view shifting [`SpreadingProcess::round`] by the rounds executed in earlier
-/// churn epochs, so observers threaded across epochs see one continuous, monotone round
-/// index.
-struct OffsetRounds<'p> {
-    inner: &'p dyn SpreadingProcess,
-    offset: usize,
-}
-
-impl SpreadingProcess for OffsetRounds<'_> {
-    // cobra-lint: hot
-    // cobra-lint: par
-    // cobra-lint: draws(0)
-    fn step_faulted(&mut self, _draws: Draws<'_>, _faults: &StepFaults<'_>) {
-        unreachable!("the churn observer view is read-only")
-    }
-
-    fn round(&self) -> usize {
-        self.offset + self.inner.round()
-    }
-
-    fn active(&self) -> &VertexBitset {
-        self.inner.active()
-    }
-
-    fn num_active(&self) -> usize {
-        self.inner.num_active()
-    }
-
-    fn newly_activated(&self) -> &[VertexId] {
-        self.inner.newly_activated()
-    }
-
-    fn for_each_active(&self, f: &mut dyn FnMut(VertexId)) {
-        self.inner.for_each_active(f);
-    }
-
-    fn for_each_token(&self, f: &mut dyn FnMut(VertexId)) {
-        self.inner.for_each_token(f);
-    }
-
-    fn num_vertices(&self) -> usize {
-        self.inner.num_vertices()
-    }
-
-    fn is_complete(&self) -> bool {
-        self.inner.is_complete()
-    }
-
-    fn coverage(&self) -> Option<&VertexBitset> {
-        self.inner.coverage()
-    }
-
-    fn reset(&mut self) {
-        unreachable!("the churn observer view is read-only")
     }
 }
 
@@ -1601,11 +1541,16 @@ pub fn run_churned(
 
 /// [`run_churned`] with `Runner` observers threaded **across** the churn epochs: observers
 /// are started exactly once (on the initial state of the first epoch) and then notified
-/// after every executed round, with [`SpreadingProcess::round`] presented as one continuous
-/// index over the whole run — so `FirstVisitTimes` stays set-once and nondecreasing,
+/// after every executed round. Each epoch's process resumes the run's round index through
+/// [`SpreadingProcess::adopt_state`], so [`SpreadingProcess::round`] is one continuous index
+/// over the whole run — `FirstVisitTimes` stays set-once and nondecreasing,
 /// `CoverageTrace` stays monotone and `ActiveCountTrace` holds the initial state plus one
 /// entry per executed round, exactly as on a fixed graph. No observer callback fires at an
 /// epoch boundary itself (re-instantiation is not a round).
+///
+/// Each epoch instantiates the graph, builds the process, adopts the carried state and
+/// runs at most `min(T, budget − round)` rounds through the `Runner`'s round loop; a spec
+/// without churn is the one-epoch case.
 ///
 /// # Errors
 ///
@@ -1618,61 +1563,35 @@ pub fn run_churned_observed(
     rng: &mut dyn RngCore,
     observers: &mut [&mut dyn Observer],
 ) -> Result<RunOutcome> {
-    let graph_error = |e: cobra_graph::GraphError| CoreError::UnsuitableGraph {
-        reason: format!("cannot instantiate {family}: {e}"),
-    };
-    let Some(period) = spec.fault_plan().and_then(|plan| plan.churn) else {
-        let graph = family.instantiate(&mut &mut *rng).map_err(graph_error)?;
-        let mut process = spec.build(&graph)?;
-        return Ok(runner.run_observed(process.as_mut(), rng, observers));
-    };
-    let segment_spec = spec.clone().with_churn(None);
+    let period = spec.fault_plan().and_then(|plan| plan.churn).unwrap_or(usize::MAX);
+    let epoch_spec = spec.clone().without_churn();
     let budget = runner.max_rounds();
-    let mut total_rounds = 0usize;
-    let mut carry: Option<(Vec<VertexId>, Option<VertexBitset>)> = None;
-    let mut started = false;
+    let mut carry: Option<(Vec<VertexId>, Option<VertexBitset>, usize)> = None;
     loop {
-        let graph = family.instantiate(&mut &mut *rng).map_err(graph_error)?;
-        let mut process = segment_spec.build(&graph)?;
-        if let Some((tokens, coverage)) = carry.take() {
-            process.adopt_state(&tokens, coverage.as_ref())?;
-        }
-        // `adopt_state` resets the per-segment round counter, so the offset view presents
-        // `offset + segment round` to the observers.
-        let offset = total_rounds;
-        if !started {
-            started = true;
-            for observer in observers.iter_mut() {
-                observer.on_start(&OffsetRounds { inner: process.as_ref(), offset });
+        let graph = family.instantiate(&mut &mut *rng).map_err(|e| CoreError::UnsuitableGraph {
+            reason: format!("cannot instantiate {family}: {e}"),
+        })?;
+        let mut process = epoch_spec.build(&graph)?;
+        let round = match carry.take() {
+            Some((tokens, coverage, round)) => {
+                process.adopt_state(&tokens, coverage.as_ref(), round)?;
+                round
             }
-        }
-        let mut reason = StopReason::BudgetExhausted;
-        if let Some(early) = runner.goal_reached(process.as_ref()) {
-            reason = early;
-        } else {
-            for _ in 0..period.min(budget - total_rounds) {
-                process.step(rng);
+            None => {
                 for observer in observers.iter_mut() {
-                    observer.on_round(&OffsetRounds { inner: process.as_ref(), offset });
+                    observer.on_start(process.as_ref());
                 }
-                if let Some(stop) = runner.goal_reached(process.as_ref()) {
-                    reason = stop;
-                    break;
-                }
+                0
             }
-        }
-        total_rounds = offset + process.round();
-        if reason != StopReason::BudgetExhausted || total_rounds >= budget {
-            return Ok(RunOutcome {
-                rounds: total_rounds,
-                final_active: process.num_active(),
-                num_vertices: process.num_vertices(),
-                reason,
-            });
+        };
+        let rounds = period.min(budget - round);
+        let outcome = runner.run_rounds(process.as_mut(), rng, observers, rounds);
+        if outcome.completed() || outcome.rounds >= budget {
+            return Ok(outcome);
         }
         let mut tokens = Vec::new();
         process.for_each_token(&mut |v| tokens.push(v));
-        carry = Some((tokens, process.coverage().cloned()));
+        carry = Some((tokens, process.coverage().cloned(), outcome.rounds));
     }
 }
 
@@ -1680,6 +1599,7 @@ pub fn run_churned_observed(
 mod tests {
     use super::*;
     use crate::process::run_until_complete;
+    use crate::sim::StopReason;
     use cobra_graph::generators;
     use rand::SeedableRng;
     use rand_chacha::ChaCha12Rng;
@@ -2140,6 +2060,24 @@ mod tests {
         let a = run_churned(&spec, &family, &runner, &mut rng(11)).unwrap();
         let b = run_churned(&spec, &family, &runner, &mut rng(11)).unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn adopted_processes_resume_the_given_round() {
+        let graph = generators::complete(16).unwrap();
+        let mut r = rng(17);
+        for spec in ProcessSpec::examples() {
+            let mut process = spec.build(&graph).unwrap();
+            process.step(&mut r);
+            let mut tokens = Vec::new();
+            process.for_each_token(&mut |v| tokens.push(v));
+            let coverage = process.coverage().cloned();
+            let mut next = spec.build(&graph).unwrap();
+            next.adopt_state(&tokens, coverage.as_ref(), 40).unwrap();
+            assert_eq!(next.round(), 40, "{spec}");
+            next.step(&mut r);
+            assert_eq!(next.round(), 41, "{spec}");
+        }
     }
 
     #[test]

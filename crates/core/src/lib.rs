@@ -26,14 +26,16 @@
 //!   `Box<dyn SpreadingProcess>`.
 //! * [`sim`] — the unified [`sim::Runner`] measurement loop: stop conditions (completion,
 //!   round budget, target coverage) plus pluggable observers (active-count traces,
-//!   first-visit/cover times, growth ratios).
+//!   first-visit/cover times, growth ratios). Fixed-graph runs, churned runs and
+//!   [`process::run_until_complete`] all step through its one round loop.
 //! * [`fault`] — the adversity layer: [`FaultPlan`]s describing message loss (i.i.d.
 //!   `drop=f` or bursty Gilbert–Elliott `gedrop=pb,pg,fb[,fg]`), crashed vertices
 //!   (permanent, or transient with `repair=r`) and edge churn, applied to any process
 //!   through the [`FaultedProcess`] environment wrapper (spec syntax
 //!   `cobra:k=2+drop=0.1+crash=5%`), which also runs the plan's adversary and defense
-//!   policies, and the churn-aware [`fault::run_churned`] / [`fault::run_churned_observed`]
-//!   drivers.
+//!   policies, and the churn drivers [`fault::run_churned`] /
+//!   [`fault::run_churned_observed`], which re-instantiate the graph every `T` rounds and
+//!   run each epoch through the `Runner`'s round loop.
 //! * [`adversary`] — the *adaptive* adversity layer: an [`AdversaryPolicy`] observes a
 //!   read-only [`ProcessView`] (frontier, delta, coverage, degrees) each round and emits
 //!   that round's faults — crash the highest-degree active vertices

@@ -280,18 +280,6 @@ impl SpreadingProcess for ParallelProcess<'_> {
         self.inner.coverage()
     }
 
-    fn adopt_state(&mut self, active: &[VertexId], coverage: Option<&VertexBitset>) -> Result<()> {
-        self.inner.adopt_state(active, coverage)
-    }
-
-    fn set_branching_boost(&mut self, multiplier: u32) -> f64 {
-        self.inner.set_branching_boost(multiplier)
-    }
-
-    fn reseed(&mut self, vertices: &[VertexId]) -> usize {
-        self.inner.reseed(vertices)
-    }
-
     fn reset(&mut self) {
         self.inner.reset();
     }

@@ -5,6 +5,7 @@ use rand::RngCore;
 
 use crate::fault::StepFaults;
 use crate::parallel::Draws;
+use crate::sim::Runner;
 use crate::{CoreError, Result};
 
 /// A synchronous, round-based process spreading information (or infection) over a fixed graph.
@@ -126,9 +127,9 @@ pub trait SpreadingProcess {
     }
 
     /// Restores a freshly built process (possibly on a *different* graph instance of the
-    /// same size) to mid-run state: `active` becomes the current active set and `coverage`
-    /// (if given) seeds the visited/coverage set. The round counter is reset to 0 — callers
-    /// that segment runs (churn) account for total rounds themselves.
+    /// same size) to mid-run state: `active` becomes the current active set, `coverage` (if
+    /// given) seeds the visited/coverage set and the round counter resumes at `round`, so a
+    /// run segmented across graph instances (churn) reports one continuous round index.
     ///
     /// `active` may contain duplicates: churn drivers pass the
     /// [`for_each_token`](Self::for_each_token) list, so multiple walks receiving one entry
@@ -141,8 +142,13 @@ pub trait SpreadingProcess {
     ///
     /// Returns [`CoreError::InvalidParameters`] if the process does not support adoption
     /// (the default), or if the state does not fit the graph.
-    fn adopt_state(&mut self, active: &[VertexId], coverage: Option<&VertexBitset>) -> Result<()> {
-        let _ = (active, coverage);
+    fn adopt_state(
+        &mut self,
+        active: &[VertexId],
+        coverage: Option<&VertexBitset>,
+        round: usize,
+    ) -> Result<()> {
+        let _ = (active, coverage, round);
         Err(CoreError::InvalidParameters {
             reason: "process does not support state adoption (required for churn)".to_string(),
         })
@@ -222,16 +228,7 @@ pub fn run_until_complete(
     rng: &mut dyn RngCore,
     max_rounds: usize,
 ) -> Option<usize> {
-    if process.is_complete() {
-        return Some(process.round());
-    }
-    for _ in 0..max_rounds {
-        process.step(rng);
-        if process.is_complete() {
-            return Some(process.round());
-        }
-    }
-    None
+    Runner::new(max_rounds).run(process, rng).completion_rounds()
 }
 
 #[cfg(test)]

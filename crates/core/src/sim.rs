@@ -16,9 +16,12 @@
 //! [`ProcessSpec`] — and plugs directly into
 //! `cobra_stats::parallel::run_trials` closures for deterministic parallel Monte-Carlo.
 //!
-//! Observers also run across graph-churn epochs: [`run_churned_observed`](crate::fault::run_churned_observed)
-//! (see [`crate::fault`]) starts them once and presents a continuous round index over the
-//! re-instantiated graphs, so the same trace types work unchanged under churn.
+//! The loop body — step, notify the observers, check the stop conditions — exists once.
+//! [`Runner::run_observed`], [`run_until_complete`](crate::process::run_until_complete) and
+//! the graph-churn driver [`run_churned_observed`](crate::fault::run_churned_observed) all
+//! step through it. Under churn, observers are started once and every re-instantiated
+//! process resumes the run's round index through
+//! [`adopt_state`](SpreadingProcess::adopt_state), so the same trace types work unchanged.
 //!
 //! Observers are **delta-driven**: per round they consume
 //! [`newly_activated`](SpreadingProcess::newly_activated) (`O(|delta|)`) and the `O(1)`
@@ -126,10 +129,8 @@ impl Runner {
         self.max_rounds
     }
 
-    /// Checks the stop conditions; also used by the segmented churn driver
-    /// ([`fault::run_churned_observed`](crate::fault::run_churned_observed)), which owns its
-    /// own stepping loop but must stop for exactly the same reasons.
-    pub(crate) fn goal_reached(&self, process: &dyn SpreadingProcess) -> Option<StopReason> {
+    /// Checks the stop conditions.
+    fn goal_reached(&self, process: &dyn SpreadingProcess) -> Option<StopReason> {
         if let Some(fraction) = self.target_fraction {
             let threshold = (fraction * process.num_vertices() as f64).ceil() as usize;
             if process.num_active() >= threshold {
@@ -156,28 +157,48 @@ impl Runner {
         rng: &mut dyn RngCore,
         observers: &mut [&mut dyn Observer],
     ) -> RunOutcome {
-        let outcome = |process: &dyn SpreadingProcess, reason: StopReason| RunOutcome {
+        for observer in observers.iter_mut() {
+            observer.on_start(process);
+        }
+        self.run_rounds(process, rng, observers, self.max_rounds)
+    }
+
+    /// The one round loop: checks the stop conditions, then steps `process` at most
+    /// `rounds` times, notifying every observer after each step and re-checking. The outcome
+    /// reports [`StopReason::BudgetExhausted`] when `rounds` steps ran without a stop.
+    ///
+    /// [`run_observed`](Self::run_observed) calls it once with the whole budget; the churn
+    /// driver ([`fault::run_churned_observed`](crate::fault::run_churned_observed)) calls it
+    /// once per graph epoch, on a process that resumed the run's round index.
+    // cobra-lint: draws(bounded)
+    pub(crate) fn run_rounds(
+        &self,
+        process: &mut dyn SpreadingProcess,
+        rng: &mut dyn RngCore,
+        observers: &mut [&mut dyn Observer],
+        rounds: usize,
+    ) -> RunOutcome {
+        let reason = 'run: {
+            if let Some(reason) = self.goal_reached(process) {
+                break 'run reason;
+            }
+            for _ in 0..rounds {
+                process.step(rng);
+                for observer in observers.iter_mut() {
+                    observer.on_round(process);
+                }
+                if let Some(reason) = self.goal_reached(process) {
+                    break 'run reason;
+                }
+            }
+            StopReason::BudgetExhausted
+        };
+        RunOutcome {
             rounds: process.round(),
             final_active: process.num_active(),
             num_vertices: process.num_vertices(),
             reason,
-        };
-        for observer in observers.iter_mut() {
-            observer.on_start(process);
         }
-        if let Some(reason) = self.goal_reached(process) {
-            return outcome(process, reason);
-        }
-        for _ in 0..self.max_rounds {
-            process.step(rng);
-            for observer in observers.iter_mut() {
-                observer.on_round(process);
-            }
-            if let Some(reason) = self.goal_reached(process) {
-                return outcome(process, reason);
-            }
-        }
-        outcome(process, StopReason::BudgetExhausted)
     }
 
     /// Builds the process described by `spec` against `graph` and runs it.

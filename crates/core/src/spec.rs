@@ -274,26 +274,20 @@ impl ProcessSpec {
         }
     }
 
-    /// The same spec with the churn period replaced (used by the churn driver to build the
-    /// per-segment processes). `None` removes churn; a plan that becomes benign unwraps to
-    /// the bare inner spec.
+    /// The same spec without its churn clause — what the churn driver builds on each graph
+    /// instance. A plan left benign unwraps to the bare inner spec.
     #[must_use]
-    pub fn with_churn(self, churn: Option<usize>) -> Self {
+    pub fn without_churn(self) -> Self {
         match self {
             ProcessSpec::Faulted { inner, mut plan } => {
-                plan.churn = churn;
+                plan.churn = None;
                 if plan.is_benign() {
                     *inner
                 } else {
                     ProcessSpec::Faulted { inner, plan }
                 }
             }
-            base => match churn {
-                None => base,
-                Some(period) => {
-                    base.faulted(FaultPlan { churn: Some(period), ..FaultPlan::default() })
-                }
-            },
+            base => base,
         }
     }
 
@@ -901,7 +895,7 @@ mod tests {
         assert_eq!(moved.start(), 7);
         let churny: ProcessSpec = "cobra:k=2+churn=64".parse().unwrap();
         assert!(churny.build(&graph).is_err());
-        assert_eq!(churny.clone().with_churn(None), ProcessSpec::cobra(2).unwrap());
+        assert_eq!(churny.clone().without_churn(), ProcessSpec::cobra(2).unwrap());
         assert_eq!(churny.fault_plan().unwrap().churn, Some(64));
 
         // Malformed fault clauses are rejected loudly.

@@ -340,7 +340,7 @@ fn run_job(job: u64, params: &JobParams, scheduler: &Scheduler, graph_cache: &Gr
     // unchurned spec the validation build is the job's process, reset before every trial.
     let churned = params.spec.fault_plan().and_then(|plan| plan.churn).is_some();
     let validation_spec =
-        if churned { params.spec.clone().with_churn(None) } else { params.spec.clone() };
+        if churned { params.spec.clone().without_churn() } else { params.spec.clone() };
     let mut process = match validation_spec.build(&graph) {
         Ok(process) => process,
         Err(error) => return fail(scheduler, job, &error),
@@ -356,31 +356,22 @@ fn run_job(job: u64, params: &JobParams, scheduler: &Scheduler, graph_cache: &Gr
         let mut rng = seq.trial_rng(&label, index as u64);
         let mut coverage = CoverageTrace::new();
         let mut visits = FirstVisitTimes::new();
+        let mut traced: [&mut dyn Observer; 2] = [&mut coverage, &mut visits];
+        let observers: &mut [&mut dyn Observer] = if params.trace { &mut traced } else { &mut [] };
         let outcome = if churned {
-            let result = if params.trace {
-                let mut observers: [&mut dyn Observer; 2] = [&mut coverage, &mut visits];
-                fault::run_churned_observed(
-                    &params.spec,
-                    &params.family,
-                    &runner,
-                    &mut rng,
-                    &mut observers,
-                )
-            } else {
-                fault::run_churned(&params.spec, &params.family, &runner, &mut rng)
-            };
-            match result {
+            match fault::run_churned_observed(
+                &params.spec,
+                &params.family,
+                &runner,
+                &mut rng,
+                observers,
+            ) {
                 Ok(outcome) => outcome,
                 Err(error) => return fail(scheduler, job, &error),
             }
         } else {
             process.reset();
-            if params.trace {
-                let mut observers: [&mut dyn Observer; 2] = [&mut coverage, &mut visits];
-                runner.run_observed(process.as_mut(), &mut rng, &mut observers)
-            } else {
-                runner.run(process.as_mut(), &mut rng)
-            }
+            runner.run_observed(process.as_mut(), &mut rng, observers)
         };
         let trace = params.trace.then(|| TrialTrace {
             coverage_deltas: coverage.deltas(),

@@ -45,8 +45,7 @@ impl Client {
     }
 
     fn send(&mut self, line: &str) {
-        self.writer.write_all(line.as_bytes()).expect("write request");
-        self.writer.write_all(b"\n").expect("write newline");
+        self.writer.write_all(format!("{line}\n").as_bytes()).expect("write request");
     }
 
     fn recv_opt(&mut self) -> Option<String> {
