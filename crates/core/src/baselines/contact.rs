@@ -242,9 +242,10 @@ impl SpreadingProcess for ContactProcess<'_> {
             Draws::Streams(engine) => {
                 let (frontier, round) = (&self.frontier, self.round as u64);
                 let shards = engine.shard_buffers(frontier.len(), |range, inserts| {
-                    for &u in &frontier[range] {
-                        spreader.spread(u, &mut engine.stream(u as u64, round), inserts);
-                    }
+                    let senders = frontier[range].iter().map(|&u| u as u64);
+                    engine.streams().for_each_stream(senders, round, |u, rng| {
+                        spreader.spread(u as VertexId, rng, inserts);
+                    });
                 });
                 for v in shards.into_iter().flatten() {
                     next.infect(v);

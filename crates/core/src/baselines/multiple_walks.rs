@@ -177,9 +177,10 @@ impl SpreadingProcess for MultipleRandomWalks<'_> {
             Draws::Streams(engine) => {
                 let (positions, round) = (&self.positions, self.round as u64);
                 let shards = engine.shard_buffers(positions.len(), |range, landed| {
-                    for i in range {
-                        landed.push(walker.land(positions[i], &mut engine.stream(i as u64, round)));
-                    }
+                    let walkers = range.map(|i| i as u64);
+                    engine.streams().for_each_stream(walkers, round, |i, rng| {
+                        landed.push(walker.land(positions[i as usize], rng));
+                    });
                 });
                 for (position, landed) in
                     self.positions.iter_mut().zip(shards.into_iter().flatten())

@@ -141,11 +141,11 @@ impl SpreadingProcess for PushProcess<'_> {
             Draws::Streams(engine) => {
                 let (informed, round) = (&self.informed_list, self.round as u64);
                 let shards = engine.shard_buffers(informed.len(), |range, messages| {
-                    for &u in &informed[range] {
-                        if pusher.sends(u) {
-                            messages.push(pusher.send(u, &mut engine.stream(u as u64, round)));
-                        }
-                    }
+                    let senders =
+                        informed[range].iter().filter(|&&u| pusher.sends(u)).map(|&u| u as u64);
+                    engine.streams().for_each_stream(senders, round, |u, rng| {
+                        messages.push(pusher.send(u as VertexId, rng));
+                    });
                 });
                 for message in shards.into_iter().flatten() {
                     deliver(message);
@@ -338,11 +338,10 @@ impl SpreadingProcess for PushPullProcess<'_> {
             Draws::Streams(engine) => {
                 let round = self.round as u64;
                 let shards = engine.shard_buffers(n, |range, contacts| {
-                    for u in range {
-                        if caller.calls(u) {
-                            contacts.push(caller.call(u, &mut engine.stream(u as u64, round)));
-                        }
-                    }
+                    let callers = range.filter(|&u| caller.calls(u)).map(|u| u as u64);
+                    engine.streams().for_each_stream(callers, round, |u, rng| {
+                        contacts.push(caller.call(u as VertexId, rng));
+                    });
                 });
                 for contact in shards.into_iter().flatten() {
                     record(contact);

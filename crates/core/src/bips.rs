@@ -163,6 +163,12 @@ struct Puller<'a> {
 }
 
 impl Puller<'_> {
+    /// Whether `u` draws this round: the source and isolated vertices do not.
+    #[inline]
+    fn probes(&self, u: VertexId) -> bool {
+        u != self.source && self.graph.degree(u) > 0
+    }
+
     /// Whether `u` is infected next round: the source always is, and any other vertex
     /// probes its `k` samples until one reaches a relaying infected neighbour. The source
     /// and isolated vertices draw nothing.
@@ -257,20 +263,30 @@ impl SpreadingProcess for BipsProcess<'_> {
                     }
                 }
             }
-            // Every vertex probes from its own `(vertex, round)` stream, so the Θ(n) scan
-            // shards cleanly; contiguous shards merged in shard order keep the hit list
-            // ascending, as the sequential scan does, at every thread count.
+            // Every probing vertex draws from its own `(vertex, round)` stream, so the Θ(n)
+            // scan shards cleanly; contiguous shards merged in shard order keep the hit list
+            // ascending, as the sequential scan does, at every thread count. The source
+            // draws nothing and is always infected, so the merge admits it in its place.
             Draws::Streams(engine) => {
                 let round = self.round as u64;
                 let shards = engine.shard_buffers(n, |range, hits| {
-                    for u in range {
-                        if puller.infects(u, &mut engine.stream(u as u64, round)) {
-                            hits.push(u);
+                    let probers = range.filter(|&u| puller.probes(u)).map(|u| u as u64);
+                    engine.streams().for_each_stream(probers, round, |u, rng| {
+                        if puller.infects(u as VertexId, rng) {
+                            hits.push(u as VertexId);
                         }
-                    }
+                    });
                 });
+                let mut source_pending = true;
                 for u in shards.into_iter().flatten() {
+                    if source_pending && source < u {
+                        next.admit(source);
+                        source_pending = false;
+                    }
                     next.admit(u);
+                }
+                if source_pending {
+                    next.admit(source);
                 }
             }
         }

@@ -27,10 +27,11 @@
 //! keep their `&mut dyn RngCore` parameter, so in stream mode it is an unsizing coercion
 //! from the concrete stream type that the compiler devirtualizes and inlines.
 //!
-//! A shard may open its streams one at a time ([`VertexStreams::stream`]) or four per
-//! block-kernel call ([`VertexStreams::for_each_stream`]); the kernel changes how many
-//! blocks one call computes, not the word order or counter layout, so both give the same
-//! words.
+//! Every process but the single walk opens its shard's streams eight per block-kernel
+//! call ([`VertexStreams::for_each_stream`]); the single walk and the environment's
+//! reserved entities open theirs one at a time ([`VertexStreams::stream`]). The kernel
+//! changes how many blocks one call computes, not the word order or counter layout, so
+//! both give the same words.
 //!
 //! # Entity-id contract
 //!

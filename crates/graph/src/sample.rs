@@ -9,7 +9,7 @@
 //! `gen_range(0..degree)` performs the identical reduction).
 
 use rand::RngCore;
-use rand_chacha::ChaCha8Stream;
+use rand_chacha::{ChaCha8Stream, ChaCha8StreamGroup};
 
 /// Draws a uniform index in `0..bound` from one `next_u64` via widening multiply.
 ///
@@ -56,10 +56,10 @@ pub fn sample_slice<'a, R: RngCore + ?Sized>(slice: &'a [u32], rng: &mut R) -> O
 /// walker id) and *when* (the round), not by the global order draws happen to execute in,
 /// trajectories are identical no matter how frontier iteration is scheduled across threads.
 ///
-/// [`for_each_stream`](VertexStreams::for_each_stream) opens the streams of a whole frontier
-/// chunk four entities per block-kernel call. That changes how many blocks one call
-/// computes, not the words: each stream it hands out equals [`stream`](VertexStreams::stream)
-/// word for word.
+/// [`for_each_stream`](VertexStreams::for_each_stream) opens the streams of a whole shard
+/// eight entities per block-kernel call ([`ChaCha8StreamGroup`]). That changes how many
+/// blocks one call computes, not the words: each stream it hands out equals
+/// [`stream`](VertexStreams::stream) word for word.
 ///
 /// The entity space is `u64`; vertex ids embed directly, and engine wrappers reserve ids
 /// near `u64::MAX` (see `cobra_core::parallel`) for their own dynamics so they can never
@@ -102,10 +102,12 @@ impl VertexStreams {
     /// Calls `f(entity, stream)` for each of `entities` in order, with `stream` equal to
     /// [`stream`](Self::stream)`(entity, round)`.
     ///
-    /// Streams are opened four entities per kernel call
-    /// ([`ChaCha8Stream::streams_for`]), and a tail of one to three entities takes the
-    /// single-stream path. Each stream is handed to `f` as soon as its group is opened, so
-    /// nothing is collected.
+    /// One [`ChaCha8StreamGroup`] of `(key, round)` is built per call, and each group of
+    /// eight entities reopens its slots in place with one block-kernel call (one AVX2
+    /// call, or two SSE2 calls on a host without AVX2). A tail of one to seven entities
+    /// takes the single-stream path. Each stream is handed to `f` as soon as its group is
+    /// opened, so nothing is collected. A caller that filters out the entities that draw
+    /// nothing spends no lane on them.
     #[inline]
     pub fn for_each_stream<I, F>(&self, entities: I, round: u64, mut f: F)
     where
@@ -113,21 +115,21 @@ impl VertexStreams {
         F: FnMut(u64, &mut ChaCha8Stream),
     {
         let mut entities = entities.into_iter();
+        let mut group = ChaCha8StreamGroup::new(&self.key, round);
         loop {
-            let mut group = [0u64; 4];
+            let mut ids = [0u64; ChaCha8StreamGroup::LEN];
             let mut len = 0;
-            for (slot, entity) in group.iter_mut().zip(entities.by_ref()) {
+            for (slot, entity) in ids.iter_mut().zip(entities.by_ref()) {
                 *slot = entity;
                 len += 1;
             }
-            if len < group.len() {
-                for &entity in &group[..len] {
+            if len < ids.len() {
+                for &entity in &ids[..len] {
                     f(entity, &mut self.stream(entity, round));
                 }
                 return;
             }
-            let mut opened = ChaCha8Stream::streams_for(&self.key, group, round);
-            for (&entity, stream) in group.iter().zip(&mut opened) {
+            for (&entity, stream) in ids.iter().zip(group.open(ids)) {
                 f(entity, stream);
             }
         }

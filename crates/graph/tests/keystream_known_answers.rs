@@ -2,9 +2,10 @@
 //!
 //! Every trajectory in the workspace is a pure function of these words, so they are pinned
 //! here (the vendored crate's own unit tests sit outside the workspace). The expected
-//! values were recorded from the one-block scalar generator; the four-block kernel must
-//! reproduce them word for word, including across refill boundaries, seeks and the
-//! word-12 → word-13 counter carry.
+//! values were recorded from the one-block scalar generator; the block kernels (the seeded
+//! generators' eight-block refill and the eight-stream group open) must reproduce them word
+//! for word, including across refill boundaries, seeks and the word-12 → word-13 counter
+//! carry.
 
 use cobra_graph::sample::VertexStreams;
 use rand::{RngCore, SeedableRng};
@@ -193,12 +194,43 @@ fn entity_streams_match_the_recorded_words() {
         streams.for_each_stream([entity], round, |_, stream| batched = words(stream, 40));
         assert_known(&batched, expected, &picks);
     }
+    // The five round-3 entities, padded to one full group of eight, through the group open.
+    let round_3: Vec<_> = recorded.iter().filter(|r| r.1 == 3).collect();
+    let group = round_3.iter().cycle().take(8).map(|r| r.0);
+    let mut opened = 0;
+    streams.for_each_stream(group, 3, |entity, stream| {
+        let &&(_, _, expected, w0, w1, w16) =
+            round_3.iter().find(|r| r.0 == entity).expect("a recorded entity");
+        assert_known(&words(stream, 40), expected, &[(0, w0), (1, w1), (16, w16)]);
+        opened += 1;
+    });
+    assert_eq!(opened, 8);
 }
 
 #[test]
 fn for_each_stream_matches_stream_in_every_lane() {
     let streams = VertexStreams::new(test_key());
-    let pool = [u64::MAX - 2, 0, u64::MAX, 17, 1 << 32, u64::MAX - 1, 99_999, 3, 1 << 40];
+    // 17 entities: lengths 1..=17 run every tail length (0 to 7) after zero, one and two
+    // full groups of eight.
+    let pool = [
+        u64::MAX - 2,
+        0,
+        u64::MAX,
+        17,
+        1 << 32,
+        u64::MAX - 1,
+        99_999,
+        3,
+        1 << 40,
+        1,
+        (1 << 32) + 1,
+        u64::MAX - 3,
+        255,
+        1 << 63,
+        65_536,
+        12_345_678_901,
+        2,
+    ];
     for len in 1..=pool.len() {
         // Rotate the pool so every entity (reserved ids included) visits every lane.
         for shift in 0..pool.len() {
